@@ -40,6 +40,7 @@ from .metrics import (
     bottleneck_1pt,
     bottleneck_bruteforce,
     describe_matching,
+    distance_matrix,
     wasserstein,
     wasserstein_bruteforce,
 )
@@ -183,12 +184,8 @@ def _cmd_gen(args) -> int:
             path = out_dir / f"cube_{k:03d}.json"
             io.save_diagram(dgm, path)
             files.append(str(path))
-        deviation = 0.0
-        for i in range(samples):
-            for j in range(i + 1, samples):
-                value, _ = bottleneck(diagrams[i], diagrams[j])
-                ref = float(np.max(np.abs(points[i] - points[j])))
-                deviation = max(deviation, abs(value - ref))
+        sup = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2, initial=0.0)
+        deviation = float(np.abs(distance_matrix(diagrams) - sup).max(initial=0.0))
         _emit({
             "kind": "cube",
             "n": n,

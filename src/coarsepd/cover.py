@@ -19,7 +19,7 @@ import numpy as np
 
 from .diagram import DELTA, Point, is_delta
 from .errors import TooLarge
-from .metrics import bottleneck, bottleneck_1pt, wasserstein
+from .metrics import bottleneck_1pt, bottleneck_distance, wasserstein_distance
 from .embeddings import embed_cube_point
 
 
@@ -235,10 +235,10 @@ def lower_bound_demo(n: int, R: float, samples: int,
         dx = embed_cube_point(x, R)
         dy = embed_cube_point(y, R)
         if p is None:
-            value, _ = bottleneck(dx, dy)
+            value = bottleneck_distance(dx, dy)
             ref = float(np.max(np.abs(x - y)))
         else:
-            value, _ = wasserstein(dx, dy, p)
+            value = wasserstein_distance(dx, dy, p)
             ref = float(np.sum(np.abs(x - y) ** p) ** (1.0 / p))
         worst = max(worst, abs(value - ref))
     return CubeDemoReport(n=n, R=float(R), samples=samples, p=p, max_deviation=worst)

@@ -24,7 +24,7 @@ from .errors import (
     OutOfCube,
     TooLarge,
 )
-from .metrics import bottleneck
+from .metrics import distance_matrix
 
 _VALIDATE_UNION_MAX = 512
 
@@ -316,18 +316,12 @@ def embed_coarse_union(U: BlockedSpace) -> UnionEmbedding:
     intra = max(_intra_deviation(b, dgms) for b, dgms in zip(blocks, per_block))
     cross: list[CrossSeparation] = []
     for (i, j), req in sorted(required.items()):
-        realized = min(
-            bottleneck(di, dj)[0] for di in per_block[i] for dj in per_block[j]
-        )
+        realized = float(distance_matrix(per_block[i], cols=per_block[j]).min())
         cross.append(CrossSeparation(i, j, req, realized))
     diagrams = tuple(d for dgms in per_block for d in dgms)
     return UnionEmbedding(diagrams, intra, tuple(cross), tuple(scales), tuple(offsets))
 
 
 def _intra_deviation(block: FiniteMetricSpace, diagrams: Sequence[Diagram]) -> float:
-    dev = 0.0
-    for i in range(block.n_points):
-        for j in range(i + 1, block.n_points):
-            value, _ = bottleneck(diagrams[i], diagrams[j])
-            dev = max(dev, abs(value - float(block.dist[i, j])))
-    return dev
+    iu = np.triu_indices(block.n_points, 1)
+    return float(np.abs(distance_matrix(diagrams)[iu] - block.dist[iu]).max(initial=0.0))

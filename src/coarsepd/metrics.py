@@ -2,24 +2,30 @@
 
 Both distances are minima over permutations of the padded tuples: the
 bottleneck aggregates per-pair costs with max, the p-Wasserstein with an
-l_p sum.  ``bottleneck`` runs a threshold search over the discrete set of
-pairwise costs with a maximum-matching feasibility test; ``wasserstein``
-reduces to an optimal assignment on the cost-power matrix.  The
+l_p sum.  The bottleneck value comes from a threshold search over the
+discrete set of pairwise costs with a maximum-matching feasibility test;
+the p-Wasserstein value reduces to an optimal assignment on the cost-power
+matrix.  ``bottleneck`` and ``wasserstein`` also return a lex-min optimal
+matching; ``bottleneck_distance``, ``wasserstein_distance`` and
+``distance_matrix`` return the same values without one.  The
 ``*_bruteforce`` variants minimize over all permutations directly and act
 as independent oracles.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .assignment import (
-    hopcroft_karp,
     lex_min_perfect_matching,
     min_assignment_max,
     min_assignment_sum,
@@ -68,11 +74,37 @@ def cost_matrix(left: tuple[Point, ...], right: tuple[Point, ...]) -> np.ndarray
 
 
 def _feasible(cost: np.ndarray, threshold: float) -> bool:
+    """Whether the threshold graph cost <= threshold has a perfect matching."""
     ok = cost <= threshold
-    n = cost.shape[0]
-    adj = [np.flatnonzero(row).tolist() for row in ok]
-    size, _ = hopcroft_karp(adj, n, n)
-    return size == n
+    # Built from index arrays: on small graphs scipy's dense-to-sparse
+    # conversion costs more than the matching itself.
+    indptr = np.zeros(ok.shape[0] + 1, dtype=np.int32)
+    np.cumsum(ok.sum(axis=1), out=indptr[1:])
+    indices = np.nonzero(ok)[1].astype(np.int32)
+    graph = csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=ok.shape)
+    return bool((maximum_bipartite_matching(graph, perm_type="column") >= 0).all())
+
+
+def _bottleneck_value(cost: np.ndarray) -> float:
+    """Smallest pairwise cost at which the square cost matrix has a perfect matching.
+
+    Every row and every column must be matched, so no cost below
+    max(max_i min_j c_ij, max_j min_i c_ij) is feasible.  That bound is
+    itself a cost and is often the optimum, so it is tested first; the
+    larger costs are bisected (the largest is always feasible).
+    """
+    bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+    if _feasible(cost, bound):
+        return float(bound)
+    candidates = np.unique(cost[cost > bound])
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _feasible(cost, candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(candidates[lo])
 
 
 def bottleneck(z: Diagram, w: Diagram) -> tuple[float, Matching]:
@@ -87,17 +119,17 @@ def bottleneck(z: Diagram, w: Diagram) -> tuple[float, Matching]:
     if pair.width == 0:
         return 0.0, Matching((), 0.0)
     cost = cost_matrix(pair.left, pair.right)
-    candidates = np.unique(cost)
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _feasible(cost, candidates[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    value = float(candidates[lo])
+    value = _bottleneck_value(cost)
     phi = lex_min_perfect_matching(cost <= value)
     return value, Matching(phi, value)
+
+
+def bottleneck_distance(z: Diagram, w: Diagram) -> float:
+    """Exact bottleneck distance without a matching; equals ``bottleneck(z, w)[0]``."""
+    pair = augment(z, w)
+    if pair.width == 0:
+        return 0.0
+    return _bottleneck_value(cost_matrix(pair.left, pair.right))
 
 
 def bottleneck_bruteforce(z: Diagram, w: Diagram) -> tuple[float, Matching]:
@@ -117,8 +149,8 @@ def bottleneck_bruteforce(z: Diagram, w: Diagram) -> tuple[float, Matching]:
 
 def _check_exponent(p: float) -> float:
     p = float(p)
-    if not p >= 1.0:
-        raise InvalidExponent(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise InvalidExponent(f"p must be finite and >= 1, got {p}")
     return p
 
 
@@ -156,36 +188,53 @@ def _invert_pairing(phi: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def wasserstein(z: Diagram, w: Diagram, p: float) -> tuple[float, Matching]:
-    """Exact p-Wasserstein distance and an optimal matching (p >= 1).
+def _wasserstein_solve(z: Diagram, w: Diagram, p: float,
+                       pairing: bool) -> tuple[float, Optional[tuple[int, ...]]]:
+    """p-Wasserstein value, and the lex-min optimal pairing if asked for.
 
-    Solved as an optimal assignment on the cost-power matrix; costs are
-    rescaled by their maximum before powering so that large exponents do
-    not overflow.  Arguments are ordered canonically before solving so the
-    distance is bitwise symmetric (summation order cannot perturb the last
-    ulp).
+    Arguments are ordered canonically before solving so the distance is
+    bitwise symmetric (summation order cannot perturb the last ulp); a
+    pairing found for the swapped order is inverted back.
     """
-    p = _check_exponent(p)
-    if w.points < z.points:
-        value, m = wasserstein(w, z, p)
-        return value, Matching(_invert_pairing(m.pairing), m.cost, p)
+    swapped = w.points < z.points
+    if swapped:
+        z, w = w, z
     pair = augment(z, w)
     if pair.width == 0:
-        return 0.0, Matching((), 0.0, p)
+        return 0.0, ()
     cost = cost_matrix(pair.left, pair.right)
     top = float(cost.max())
     if top == 0.0:
-        phi = tuple(range(pair.width))
-        return 0.0, Matching(phi, 0.0, p)
+        return 0.0, tuple(range(pair.width))
     powered = (cost / top) ** p
     rows, cols = linear_sum_assignment(powered)
     optimum = float(powered[rows, cols].sum())
+    value = top * optimum ** (1.0 / p)
+    if not pairing:
+        return value, None
     if pair.width <= _LEX_ASSIGNMENT_MAX:
         phi = _lex_min_assignment(powered, optimum)
     else:
         phi = tuple(int(c) for c in cols[np.argsort(rows)])
-    value = top * optimum ** (1.0 / p)
+    return value, _invert_pairing(phi) if swapped else phi
+
+
+def wasserstein(z: Diagram, w: Diagram, p: float) -> tuple[float, Matching]:
+    """Exact p-Wasserstein distance and an optimal matching (1 <= p < inf).
+
+    Solved as an optimal assignment on the cost-power matrix; costs are
+    rescaled by their maximum before powering so that large exponents do
+    not overflow.  ``p = inf`` is rejected with InvalidExponent: W_inf is
+    the bottleneck distance, which ``bottleneck`` computes.
+    """
+    p = _check_exponent(p)
+    value, phi = _wasserstein_solve(z, w, p, pairing=True)
     return value, Matching(phi, value, p)
+
+
+def wasserstein_distance(z: Diagram, w: Diagram, p: float) -> float:
+    """Exact p-Wasserstein distance without a matching; equals ``wasserstein(z, w, p)[0]``."""
+    return _wasserstein_solve(z, w, _check_exponent(p), pairing=False)[0]
 
 
 def wasserstein_bruteforce(z: Diagram, w: Diagram, p: float) -> tuple[float, Matching]:
@@ -227,11 +276,39 @@ def bottleneck_1pt(a: Point, b: Point) -> float:
 def check_coarse_equiv_bounds(z: Diagram, w: Diagram, p: float, tol: float = 1e-9) -> bool:
     """Sandwich bound d_B <= d_{W,p} <= (2 max(n,m))^(1/p) d_B, within tol."""
     p = _check_exponent(p)
-    d_b, _ = bottleneck(z, w)
-    d_w, _ = wasserstein(z, w, p)
+    d_b = bottleneck_distance(z, w)
+    d_w = wasserstein_distance(z, w, p)
     width = 2 * max(len(z), len(w))
     factor = width ** (1.0 / p) if width else 0.0
     return d_b <= d_w + tol and d_w <= factor * d_b + tol
+
+
+def distance_matrix(diagrams: Sequence[Diagram], metric: str = "bottleneck",
+                    p: float = 2.0, *, cols: Optional[Sequence[Diagram]] = None) -> np.ndarray:
+    """Pairwise diagram distances, values only.
+
+    Without ``cols``: the symmetric all-pairs matrix of ``diagrams``, each
+    unordered pair computed once.  With ``cols``: the block-vs-block
+    matrix, entry (i, j) the distance from ``diagrams[i]`` to ``cols[j]``.
+    metric is "bottleneck" or "wasserstein" (with exponent p).
+    """
+    if metric == "bottleneck":
+        dist = bottleneck_distance
+    elif metric == "wasserstein":
+        dist = functools.partial(wasserstein_distance, p=_check_exponent(p))
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    rows = list(diagrams)
+    if cols is None:
+        others = rows
+        pairs = itertools.combinations(range(len(rows)), 2)
+    else:
+        others = list(cols)
+        pairs = itertools.product(range(len(rows)), range(len(others)))
+    out = np.zeros((len(rows), len(others)))
+    for i, j in pairs:
+        out[i, j] = dist(rows[i], others[j])
+    return out + out.T if cols is None else out
 
 
 def describe_matching(z: Diagram, w: Diagram, matching: Matching) -> list[tuple[Optional[int], Optional[int]]]:

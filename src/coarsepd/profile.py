@@ -10,7 +10,7 @@ import numpy as np
 from .diagram import Diagram
 from .errors import EmptySpace, SizeMismatch
 from .embeddings import FiniteMetricSpace
-from .metrics import bottleneck, wasserstein
+from .metrics import distance_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,31 +90,12 @@ def check_isometry(X: FiniteMetricSpace, diagrams: Sequence[Diagram],
     """
     if len(diagrams) != X.n_points:
         raise SizeMismatch(f"{len(diagrams)} diagrams for {X.n_points} points")
-    if metric not in ("bottleneck", "wasserstein"):
-        raise ValueError(f"unknown metric {metric!r}")
-    dev = 0.0
-    for i in range(X.n_points):
-        for j in range(i + 1, X.n_points):
-            if metric == "bottleneck":
-                value, _ = bottleneck(diagrams[i], diagrams[j])
-            else:
-                value, _ = wasserstein(diagrams[i], diagrams[j], p)
-            dev = max(dev, abs(value - float(X.dist[i, j])))
-    return dev
+    iu = np.triu_indices(X.n_points, 1)
+    image = distance_matrix(diagrams, metric, p)
+    return float(np.abs(image[iu] - X.dist[iu]).max(initial=0.0))
 
 
 def image_distance_matrix(diagrams: Sequence[Diagram], metric: str = "bottleneck",
                           p: float = 2.0) -> np.ndarray:
     """Pairwise diagram distances as a symmetric matrix."""
-    n = len(diagrams)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if metric == "bottleneck":
-                value, _ = bottleneck(diagrams[i], diagrams[j])
-            elif metric == "wasserstein":
-                value, _ = wasserstein(diagrams[i], diagrams[j], p)
-            else:
-                raise ValueError(f"unknown metric {metric!r}")
-            out[i, j] = out[j, i] = value
-    return out
+    return distance_matrix(diagrams, metric, p)

@@ -70,6 +70,16 @@ class TestDist:
         assert code == 0
         assert out["distance"] == "3.00000000000"
 
+    def test_infinite_exponent_exit1(self, tmp_path, capsys):
+        write_diagram(tmp_path / "a.json", [[0, 4], [1, 3]])
+        write_diagram(tmp_path / "b.json", [[3, 6]])
+        code = main(["dist", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+                     "--wasserstein", "inf"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "p must be" in captured.err
+
     def test_parse_error_exit1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")

@@ -4,21 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coarsepd import (
     DELTA,
     Diagram,
     InvalidExponent,
     OversizeForOracle,
+    augment,
     bottleneck,
     bottleneck_1pt,
     bottleneck_bruteforce,
+    bottleneck_distance,
     canonicalize,
     check_coarse_equiv_bounds,
     describe_matching,
+    distance_matrix,
     wasserstein,
     wasserstein_bruteforce,
+    wasserstein_distance,
 )
+from coarsepd.metrics import cost_matrix
 from conftest import random_diagram
 
 
@@ -87,6 +93,10 @@ class TestWasserstein:
             wasserstein(Diagram(), Diagram(), 0.5)
         with pytest.raises(InvalidExponent):
             wasserstein_bruteforce(Diagram(), Diagram(), float("nan"))
+        z, w = d((0, 4), (1, 3)), d((3, 6))
+        for solver in (wasserstein, wasserstein_bruteforce, wasserstein_distance):
+            with pytest.raises(InvalidExponent):
+                solver(z, w, math.inf)
 
 
 class TestBottleneck1pt:
@@ -230,3 +240,67 @@ class TestMatchingOutput:
                     for i, j in enumerate(m2.pairing)
                 ) ** 0.5
                 assert realized == pytest.approx(v2, abs=1e-9)
+
+
+def diagrams(max_size=9):
+    """Diagrams of up to max_size points; grid coordinates give many cost ties."""
+    grid = st.tuples(st.integers(0, 40), st.integers(1, 40)).map(
+        lambda t: (t[0] / 4, (t[0] + t[1]) / 4))
+    free = st.tuples(st.floats(0.0, 10.0), st.floats(1e-3, 10.0)).map(
+        lambda t: (t[0], t[0] + t[1]))
+    return st.lists(st.one_of(grid, free), max_size=max_size).map(canonicalize)
+
+
+# One point against two copies of it: every row and column has a zero cost,
+# but one copy must go to the diagonal at cost 1.5.
+BOUND_BELOW_OPTIMUM = (d((1, 4)), d((1, 4), (1, 4)))
+# Seven points a side: augmented width 14, above the lex-min assignment cutoff.
+WIDE = (canonicalize([(i, i + 2.0) for i in range(7)]),
+        canonicalize([(i + 0.5, i + 3.0) for i in range(7)]))
+
+
+class TestValueOnly:
+    def test_lower_bound_can_be_below_optimum(self):
+        z, w = BOUND_BELOW_OPTIMUM
+        pair = augment(z, w)
+        cost = cost_matrix(pair.left, pair.right)
+        bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+        assert bound == 0.0
+        assert bottleneck_distance(z, w) == bottleneck(z, w)[0] == 1.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(diagrams(), diagrams())
+    @example(*BOUND_BELOW_OPTIMUM)
+    @example(*WIDE)
+    def test_bottleneck_distance_equals_solver(self, z, w):
+        assert bottleneck_distance(z, w) == bottleneck(z, w)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(diagrams(), diagrams(), st.sampled_from([1, 2, 3.5]))
+    @example(*BOUND_BELOW_OPTIMUM, 2)
+    @example(*WIDE, 1)
+    @example(*WIDE, 3.5)
+    def test_wasserstein_distance_equals_solver(self, z, w, p):
+        assert wasserstein_distance(z, w, p) == wasserstein(z, w, p)[0]
+
+    def test_distance_matrix_equals_pair_loop(self, rng):
+        dgms = [random_diagram(rng, max_size=7) for _ in range(7)]
+        for metric, solve in (("bottleneck", lambda z, w: bottleneck(z, w)[0]),
+                              ("wasserstein", lambda z, w: wasserstein(z, w, 2.5)[0])):
+            full = distance_matrix(dgms, metric, 2.5)
+            block = distance_matrix(dgms[:3], metric, 2.5, cols=dgms[3:])
+            assert full.shape == (7, 7) and block.shape == (3, 4)
+            for i, z in enumerate(dgms):
+                for j, w in enumerate(dgms):
+                    expected = 0.0 if i == j else solve(z, w)
+                    assert full[i, j] == expected
+                    if i < 3 <= j:
+                        assert block[i, j - 3] == expected
+
+    def test_distance_matrix_edge_cases(self):
+        assert distance_matrix([]).shape == (0, 0)
+        assert distance_matrix([d((0, 2))], cols=[]).shape == (1, 0)
+        with pytest.raises(ValueError):
+            distance_matrix([d((0, 2))], "sliced")
+        with pytest.raises(InvalidExponent):
+            distance_matrix([d((0, 2)), d((1, 3))], "wasserstein", math.inf)
