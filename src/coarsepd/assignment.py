@@ -1,113 +1,99 @@
 """Bipartite matching and exhaustive assignment search primitives.
 
-Hopcroft-Karp maximum-cardinality matching drives the bottleneck
-feasibility test; the subset dynamic programs are exact minima over all
-permutations and serve as independent oracles for the solvers.
+scipy's Hopcroft-Karp maximum-cardinality matching decides whether a
+boolean edge matrix has a perfect matching and seeds the lex-min recovery,
+which improves that matching one row at a time along alternating paths.
+The subset dynamic programs are exact minima over all permutations and
+serve as independent oracles for the solvers.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 
-def hopcroft_karp(adj: list[list[int]], n_left: int, n_right: int) -> tuple[int, list[int]]:
-    """Maximum-cardinality matching in a bipartite graph.
-
-    adj[u] lists the right-side neighbours of left vertex u.  Returns the
-    matching size and, for each left vertex, its matched right vertex
-    (-1 if unmatched).
-    """
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    dist = [0] * n_left
-
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        found = False
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = -1
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = -1
-        return False
-
-    size = 0
-    while bfs():
-        for u in range(n_left):
-            if match_l[u] == -1 and dfs(u):
-                size += 1
-    return size, match_l
-
-
-def _adjacency(ok: np.ndarray) -> list[list[int]]:
-    return [np.flatnonzero(row).tolist() for row in ok]
+def _max_matching(ok: np.ndarray) -> np.ndarray:
+    """Column of each row in a maximum matching of ok, -1 for an unmatched row."""
+    # Built from index arrays: on small graphs scipy's dense-to-sparse
+    # conversion costs more than the matching itself.
+    indptr = np.zeros(ok.shape[0] + 1, dtype=np.int32)
+    np.cumsum(ok.sum(axis=1), out=indptr[1:])
+    indices = np.nonzero(ok)[1].astype(np.int32)
+    graph = csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=ok.shape)
+    return maximum_bipartite_matching(graph, perm_type="column")
 
 
 def has_perfect_matching(ok: np.ndarray) -> bool:
     """Whether the boolean edge matrix admits a perfect matching."""
-    n = ok.shape[0]
-    if n == 0:
-        return True
-    size, _ = hopcroft_karp(_adjacency(ok), n, n)
-    return size == n
+    return bool((_max_matching(ok) >= 0).all())
 
 
-def _submatchable(ok: np.ndarray, rows: list[int], cols: list[int]) -> bool:
-    if not rows:
-        return True
-    if len(cols) < len(rows):
-        return False
-    col_pos = {c: k for k, c in enumerate(cols)}
-    adj = [[col_pos[c] for c in cols if ok[r, c]] for r in rows]
-    size, _ = hopcroft_karp(adj, len(rows), len(cols))
-    return size == len(rows)
+def _bit_rows(ok: np.ndarray) -> list[int]:
+    """Each row of ok as an int whose bit c is ok[r, c]."""
+    packed = np.packbits(ok, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
 def lex_min_perfect_matching(ok: np.ndarray) -> tuple[int, ...]:
     """Lexicographically smallest permutation that is a perfect matching of ok.
 
-    Assumes a perfect matching exists.  Fixes rows in order, choosing the
-    smallest column that keeps the remaining rows matchable.
+    Starts from any perfect matching and fixes rows in order.  Row i can
+    take exactly the columns whose holders can shift, along an alternating
+    path over the unfixed rows, into row i's current column; one
+    breadth-first search from that column finds them, and the row takes the
+    smallest one it has an edge to.  The search is skipped when row i has
+    no edge to an unfixed column below its current one, and stops once the
+    smallest such column is reached.  Raises RuntimeError when ok has no
+    perfect matching.
     """
     n = ok.shape[0]
-    used = np.zeros(n, dtype=bool)
-    phi: list[int] = []
+    col = _max_matching(ok).tolist()
+    if -1 in col:
+        raise RuntimeError("no perfect matching")
+    row = [0] * n
+    for r, c in enumerate(col):
+        row[c] = r
+    # Sets of rows or columns are ints used as bit sets; fixed holds the
+    # columns of the rows before i.
+    row_edges, col_edges = _bit_rows(ok), _bit_rows(ok.T)
+    fixed = 0
     for i in range(n):
-        rest_rows = list(range(i + 1, n))
-        for j in range(n):
-            if used[j] or not ok[i, j]:
-                continue
-            rest_cols = [c for c in range(n) if not used[c] and c != j]
-            if _submatchable(ok, rest_rows, rest_cols):
-                phi.append(j)
-                used[j] = True
-                break
-        else:
-            raise RuntimeError("no perfect matching at the given threshold")
-    return tuple(phi)
+        start = col[i]
+        below = row_edges[i] & ((1 << start) - 1) & ~fixed
+        if below:
+            # parent[c]: a column the holder of c can move to, one step
+            # closer to start; open rows are the unfixed ones not yet reached.
+            first = below & -below
+            parent = {start: start}
+            seen = 1 << start
+            open_rows = (1 << n) - (1 << (i + 1))
+            queue = [start]
+            for c in queue:
+                if seen & first:
+                    break
+                hit = col_edges[c] & open_rows
+                open_rows ^= hit
+                while hit:
+                    r = (hit & -hit).bit_length() - 1
+                    hit &= hit - 1
+                    parent[col[r]] = c
+                    seen |= 1 << col[r]
+                    queue.append(col[r])
+            reached = below & seen
+            if reached:
+                c, r = (reached & -reached).bit_length() - 1, i
+                while True:
+                    holder = row[c]
+                    col[r], row[c] = c, r
+                    if holder == i:
+                        break
+                    r, c = holder, parent[c]
+        fixed |= 1 << col[i]
+    return tuple(col)
 
 
 def _min_assignment(cost: np.ndarray, combine) -> list[float]:

@@ -5,8 +5,8 @@ bottleneck aggregates per-pair costs with max, the p-Wasserstein with an
 l_p sum.  The bottleneck value comes from a threshold search over the
 discrete set of pairwise costs with a maximum-matching feasibility test;
 the p-Wasserstein value reduces to an optimal assignment on the cost-power
-matrix.  ``bottleneck`` and ``wasserstein`` also return a lex-min optimal
-matching; ``bottleneck_distance``, ``wasserstein_distance`` and
+matrix.  ``bottleneck`` and ``wasserstein`` also return the lex-min optimal
+matching at every width; ``bottleneck_distance``, ``wasserstein_distance`` and
 ``distance_matrix`` return the same values without one.  The
 ``*_bruteforce`` variants minimize over all permutations directly and act
 as independent oracles.
@@ -22,10 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .assignment import (
+    has_perfect_matching,
     lex_min_perfect_matching,
     min_assignment_max,
     min_assignment_sum,
@@ -34,7 +33,6 @@ from .diagram import DELTA, Diagram, Point, augment, delta, is_delta, persistenc
 from .errors import InvalidExponent, OversizeForOracle
 
 ORACLE_MAX_WIDTH = 10
-_LEX_ASSIGNMENT_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -73,18 +71,6 @@ def cost_matrix(left: tuple[Point, ...], right: tuple[Point, ...]) -> np.ndarray
     return out
 
 
-def _feasible(cost: np.ndarray, threshold: float) -> bool:
-    """Whether the threshold graph cost <= threshold has a perfect matching."""
-    ok = cost <= threshold
-    # Built from index arrays: on small graphs scipy's dense-to-sparse
-    # conversion costs more than the matching itself.
-    indptr = np.zeros(ok.shape[0] + 1, dtype=np.int32)
-    np.cumsum(ok.sum(axis=1), out=indptr[1:])
-    indices = np.nonzero(ok)[1].astype(np.int32)
-    graph = csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=ok.shape)
-    return bool((maximum_bipartite_matching(graph, perm_type="column") >= 0).all())
-
-
 def _bottleneck_value(cost: np.ndarray) -> float:
     """Smallest pairwise cost at which the square cost matrix has a perfect matching.
 
@@ -94,13 +80,13 @@ def _bottleneck_value(cost: np.ndarray) -> float:
     larger costs are bisected (the largest is always feasible).
     """
     bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
-    if _feasible(cost, bound):
+    if has_perfect_matching(cost <= bound):
         return float(bound)
     candidates = np.unique(cost[cost > bound])
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _feasible(cost, candidates[mid]):
+        if has_perfect_matching(cost <= candidates[mid]):
             hi = mid
         else:
             lo = mid + 1
@@ -154,31 +140,34 @@ def _check_exponent(p: float) -> float:
     return p
 
 
-def _lex_min_assignment(cost: np.ndarray, optimum: float) -> tuple[int, ...]:
-    """Lexicographically smallest optimal assignment of a square cost matrix."""
+def _tight_edges(cost: np.ndarray, sigma: np.ndarray, optimum: float) -> np.ndarray:
+    """Edges of zero reduced cost under optimal duals of the assignment sigma.
+
+    Row potentials u are shortest-path distances in the residual graph,
+    where u[i] <= u[k] + cost[i, sigma[k]] - cost[k, sigma[k]]; column
+    potentials then make sigma's edges exactly tight.  Reduced costs within
+    tol = 1e-12 * optimum count as zero: the potentials of near-optimal
+    edges are on the optimum's scale, which large exponents push far below
+    1, so the tolerance is relative.  Bellman-Ford stops once no potential
+    falls by more than tol / n (rounding alone can keep zero-cost cycles
+    falling by an ulp a round), so every reduced cost is >= -tol / n; those
+    of an optimal assignment sum to zero, so each is below tol.  Every
+    optimal assignment thus uses only these edges, and every perfect
+    matching of them is optimal to within n * tol.
+    """
     n = cost.shape[0]
-    tol = 1e-12 * max(1.0, abs(optimum))
-    remaining = list(range(n))
-    fixed_cost = 0.0
-    phi: list[int] = []
-    for i in range(n):
-        rest_rows = list(range(i + 1, n))
-        for j in sorted(remaining):
-            rest_cols = [c for c in remaining if c != j]
-            if rest_rows:
-                sub = cost[np.ix_(rest_rows, rest_cols)]
-                ri, ci = linear_sum_assignment(sub)
-                rest = float(sub[ri, ci].sum())
-            else:
-                rest = 0.0
-            if fixed_cost + cost[i, j] + rest <= optimum + tol:
-                phi.append(j)
-                fixed_cost += float(cost[i, j])
-                remaining.remove(j)
-                break
-        else:
-            raise RuntimeError("no assignment attains the optimum")
-    return tuple(phi)
+    tol = 1e-12 * optimum
+    held = cost[np.arange(n), sigma]
+    step = cost[:, sigma] - held[None, :]
+    u = np.zeros(n)
+    for _ in range(n):
+        relaxed = (u[None, :] + step).min(axis=1)
+        if (u - relaxed).max() <= tol / n:
+            break
+        u = relaxed
+    v = np.empty(n)
+    v[sigma] = held - u
+    return cost - u[:, None] - v[None, :] <= tol
 
 
 def _invert_pairing(phi: tuple[int, ...]) -> tuple[int, ...]:
@@ -212,10 +201,7 @@ def _wasserstein_solve(z: Diagram, w: Diagram, p: float,
     value = top * optimum ** (1.0 / p)
     if not pairing:
         return value, None
-    if pair.width <= _LEX_ASSIGNMENT_MAX:
-        phi = _lex_min_assignment(powered, optimum)
-    else:
-        phi = tuple(int(c) for c in cols[np.argsort(rows)])
+    phi = lex_min_perfect_matching(_tight_edges(powered, cols, optimum))
     return value, _invert_pairing(phi) if swapped else phi
 
 
@@ -224,8 +210,10 @@ def wasserstein(z: Diagram, w: Diagram, p: float) -> tuple[float, Matching]:
 
     Solved as an optimal assignment on the cost-power matrix; costs are
     rescaled by their maximum before powering so that large exponents do
-    not overflow.  ``p = inf`` is rejected with InvalidExponent: W_inf is
-    the bottleneck distance, which ``bottleneck`` computes.
+    not overflow.  The matching is the lexicographically smallest one using
+    only tight edges of the optimal duals.  ``p = inf`` is rejected with
+    InvalidExponent: W_inf is the bottleneck distance, which ``bottleneck``
+    computes.
     """
     p = _check_exponent(p)
     value, phi = _wasserstein_solve(z, w, p, pairing=True)

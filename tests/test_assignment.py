@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+from hypothesis import given, strategies as st
 
 from coarsepd.assignment import (
     has_perfect_matching,
@@ -73,3 +74,26 @@ class TestMatchingHelpers:
     def test_lex_min_matching_prefers_small_columns(self):
         ok = np.ones((3, 3), dtype=bool)
         assert lex_min_perfect_matching(ok) == (0, 1, 2)
+
+    @given(st.integers(0, 8).flatmap(lambda n: st.lists(
+        st.booleans(), min_size=n * n, max_size=n * n).map(
+            lambda cells: np.array(cells, dtype=bool).reshape(n, n))))
+    def test_matching_agrees_with_subset_program(self, ok):
+        # cost 0 on edges, 1 off them: the subset program's optimum is 0
+        # exactly when a perfect matching exists, and its lex-min recovery
+        # shares no code with the matching pass
+        value, perm = min_assignment_max((~ok).astype(float))
+        assert has_perfect_matching(ok) == (value == 0.0)
+        if value == 0.0:
+            assert lex_min_perfect_matching(ok) == perm
+
+    def test_long_alternating_path(self):
+        # the only perfect matching shifts every row by one column; reaching
+        # it can take an augmenting path through all n rows
+        n = 1200
+        ok = np.zeros((n, n), dtype=bool)
+        ok[np.arange(n - 1), np.arange(n - 1)] = True
+        ok[np.arange(n - 1), np.arange(1, n)] = True
+        ok[n - 1, 0] = True
+        assert has_perfect_matching(ok)
+        assert lex_min_perfect_matching(ok) == tuple(range(1, n)) + (0,)

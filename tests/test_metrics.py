@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from coarsepd import (
     DELTA,
@@ -24,7 +25,8 @@ from coarsepd import (
     wasserstein_bruteforce,
     wasserstein_distance,
 )
-from coarsepd.metrics import cost_matrix
+from coarsepd.assignment import lex_min_perfect_matching, min_assignment_max, min_assignment_sum
+from coarsepd.metrics import _tight_edges, cost_matrix
 from conftest import random_diagram
 
 
@@ -140,6 +142,28 @@ class TestOracleEquivalence:
                 v, _ = wasserstein(z, w, p)
                 assert v == pytest.approx(vb, abs=1e-9)
 
+    def test_bottleneck_pairing_above_width_12(self, rng):
+        def half_grid(size):
+            # half-integer coordinates force cost ties
+            births, lengths = rng.integers(0, 12, size), rng.integers(1, 8, size)
+            return canonicalize(zip((births / 2).tolist(), ((births + lengths) / 2).tolist()))
+
+        for _ in range(4):
+            z, w = half_grid(7), half_grid(int(rng.integers(0, 8)))
+            pair = augment(z, w)
+            assert pair.width == 14
+            value, m = bottleneck(z, w)
+            assert (value, m.pairing) == min_assignment_max(cost_matrix(pair.left, pair.right))
+
+    def test_tight_edge_pairing_above_width_12(self, rng):
+        # small integers keep every sum exact, so optimal means exactly optimal
+        for width in (13, 14, 15):
+            cost = rng.integers(0, 10, size=(width, width)).astype(float)
+            rows, cols = linear_sum_assignment(cost)
+            optimum = float(cost[rows, cols].sum())
+            phi = lex_min_perfect_matching(_tight_edges(cost, cols, optimum))
+            assert (optimum, phi) == min_assignment_sum(cost)
+
 
 class TestMetricAxioms:
     def test_symmetry_and_triangle(self, rng):
@@ -233,13 +257,14 @@ class TestMatchingOutput:
                     for i, j in enumerate(m.pairing)
                 )
                 assert realized == pytest.approx(value, abs=1e-12)
-            v2, m2 = wasserstein(z, w, 2)
-            if pair.width:
-                realized = sum(
-                    point_delta(pair.left[i], pair.right[j]) ** 2
-                    for i, j in enumerate(m2.pairing)
-                ) ** 0.5
-                assert realized == pytest.approx(v2, abs=1e-9)
+            for p in (2, 50):
+                vp, mp = wasserstein(z, w, p)
+                if pair.width:
+                    realized = sum(
+                        point_delta(pair.left[i], pair.right[j]) ** p
+                        for i, j in enumerate(mp.pairing)
+                    ) ** (1 / p)
+                    assert realized == pytest.approx(vp, abs=1e-9)
 
 
 def diagrams(max_size=9):
@@ -254,7 +279,7 @@ def diagrams(max_size=9):
 # One point against two copies of it: every row and column has a zero cost,
 # but one copy must go to the diagonal at cost 1.5.
 BOUND_BELOW_OPTIMUM = (d((1, 4)), d((1, 4), (1, 4)))
-# Seven points a side: augmented width 14, above the lex-min assignment cutoff.
+# Seven points a side: augmented width 14, past the brute-force oracles' limit of 10.
 WIDE = (canonicalize([(i, i + 2.0) for i in range(7)]),
         canonicalize([(i + 0.5, i + 3.0) for i in range(7)]))
 
