@@ -27,6 +27,7 @@ from .errors import (
 from .metrics import distance_matrix
 
 _VALIDATE_UNION_MAX = 512
+_PAIR_KINDS = ("not_symmetric", "negative", "zero_off_diagonal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +58,9 @@ def validate_metric(matrix, labels: Optional[Sequence[str]] = None,
                     tol: float = 1e-9) -> FiniteMetricSpace:
     """Check all metric axioms, collecting every violation with a witness.
 
-    Raises MetricValidationError listing violations; see the error class
-    for the witness tuple formats.
+    Raises MetricValidationError listing violations: non_finite, then
+    nonzero_diagonal, then the per-pair kinds, then triangle by k; the
+    error class gives the exact order and the witness tuples.
     """
     mat = np.array(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -66,24 +68,24 @@ def validate_metric(matrix, labels: Optional[Sequence[str]] = None,
     n = mat.shape[0]
     if labels is None:
         labels = [f"x{i}" for i in range(n)]
-    violations: list[tuple] = []
-    for i in range(n):
-        if abs(mat[i, i]) > tol:
-            violations.append(("nonzero_diagonal", i))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(mat[i, j] - mat[j, i]) > tol:
-                violations.append(("not_symmetric", i, j))
-            if mat[i, j] < -tol:
-                violations.append(("negative", i, j))
-            if abs(mat[i, j]) <= tol:
-                violations.append(("zero_off_diagonal", i, j))
-    for k in range(n):
-        via = mat[:, k][:, None] + mat[k, :][None, :]
-        bad = np.argwhere(mat > via + tol)
-        for i, j in bad:
-            if i != j and i != k and j != k:
-                violations.append(("triangle", int(i), int(j), int(k)))
+    violations: list[tuple] = [
+        ("non_finite", i, j) for i, j in np.argwhere(~np.isfinite(mat)).tolist()]
+    violations += [("nonzero_diagonal", i)
+                   for i in np.flatnonzero(np.abs(np.diagonal(mat)) > tol).tolist()]
+    with np.errstate(invalid="ignore"):
+        pair = np.stack([np.abs(mat - mat.T) > tol, mat < -tol, np.abs(mat) <= tol],
+                        axis=-1)
+        pair &= ~np.tri(n, dtype=bool)[:, :, None]
+        violations += [(_PAIR_KINDS[c], i, j) for i, j, c in np.argwhere(pair).tolist()]
+        via, bad = np.empty_like(mat), np.empty(mat.shape, dtype=bool)
+        for k in range(n):  # via = (d(i,k) + d(k,j)) + tol, faster than broadcasting
+            np.copyto(via, mat[k])
+            via += mat[:, k, None]
+            via += tol
+            np.greater(mat, via, out=bad)
+            if bad.any():
+                violations += [("triangle", i, j, k) for i, j in np.argwhere(bad).tolist()
+                               if i != j and i != k and j != k]
     if violations:
         raise MetricValidationError(violations)
     return FiniteMetricSpace(tuple(labels), mat)

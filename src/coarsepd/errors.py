@@ -47,9 +47,14 @@ class MetricValidationError(CoarsePDError):
     """Raised by validate_metric; carries every violated axiom with a witness.
 
     Each violation is a tuple whose first entry names the axiom:
+    ``("non_finite", i, j)`` for a NaN or infinite entry,
     ``("not_symmetric", i, j)``, ``("nonzero_diagonal", i)``,
     ``("negative", i, j)``, ``("zero_off_diagonal", i, j)`` or
     ``("triangle", i, j, k)`` meaning d(i,j) > d(i,k) + d(k,j).
+
+    They are listed non_finite first (row-major), then nonzero_diagonal,
+    then per pair i < j in lexicographic order not_symmetric, negative and
+    zero_off_diagonal, then triangle ordered by k and then (i, j).
     """
 
     def __init__(self, violations):

@@ -218,3 +218,16 @@ class TestProfile:
         code = main(["profile", str(tmp_path / "src.csv"), str(tmp_path / "img.csv")])
         capsys.readouterr()
         assert code == 1
+
+
+@pytest.mark.parametrize("command", ["profile", "embed"])
+def test_non_finite_metric_exit3(tmp_path, capsys, command):
+    write_metric(tmp_path / "m.csv", ["a", "b", "c"],
+                 [[0, 1, 2], [1, 0, float("nan")], [2, float("nan"), 0]])
+    path = str(tmp_path / "m.csv")
+    args = [path, path] if command == "profile" else [path, "--out", str(tmp_path / "out")]
+    code = main([command, *args])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "('non_finite', 1, 2)" in captured.err

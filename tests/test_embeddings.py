@@ -1,7 +1,11 @@
 """Embedding constructions and their solver-verified guarantees."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from coarsepd import (
     Diagram,
@@ -21,6 +25,34 @@ from coarsepd import (
     zkm_space,
 )
 from conftest import random_connected_metric
+
+
+# Entries on and either side of the default tolerance 1e-9, plus values
+# that make symmetric, negative and triangle violations likely.
+TOL_GRID = [0.0, 1e-9, -1e-9, 2e-9, 0.5, 1.0, 1.5, 2.0, 3.0, -1.0]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def oracle_violations(m, tol=1e-9):
+    """Plain triple loop over the axioms, in validate_metric's documented order."""
+    n = len(m)
+    out = [("non_finite", i, j) for i in range(n) for j in range(n)
+           if not math.isfinite(m[i][j])]
+    out += [("nonzero_diagonal", i) for i in range(n) if abs(m[i][i]) > tol]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(m[i][j] - m[j][i]) > tol:
+                out.append(("not_symmetric", i, j))
+            if m[i][j] < -tol:
+                out.append(("negative", i, j))
+            if abs(m[i][j]) <= tol:
+                out.append(("zero_off_diagonal", i, j))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if len({i, j, k}) == 3 and m[i][j] > (m[i][k] + m[k][j]) + tol:
+                    out.append(("triangle", i, j, k))
+    return out
 
 
 class TestValidateMetric:
@@ -44,6 +76,32 @@ class TestValidateMetric:
             validate_metric([[1, 0], [0, 1]])
         kinds = {v[0] for v in err.value.violations}
         assert "nonzero_diagonal" in kinds and "zero_off_diagonal" in kinds
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected_first(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MetricValidationError) as err:
+                validate_metric([[0, bad, 1], [bad, 0, 1], [1, 1, 0]])
+        assert err.value.violations[:2] == [("non_finite", 0, 1), ("non_finite", 1, 0)]
+
+    @given(st.data())
+    def test_exact_violation_list(self, data):
+        n = data.draw(st.integers(0, 7))
+        grid = TOL_GRID + (NON_FINITE if data.draw(st.booleans()) else [])
+        rows = [[data.draw(st.sampled_from(grid)) for _ in range(n)] for _ in range(n)]
+        if data.draw(st.booleans()):
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if data.draw(st.booleans()):
+            for i in range(n):
+                rows[i][i] = 0.0
+        expected = oracle_violations(rows)
+        try:
+            validate_metric(np.array(rows, dtype=float).reshape(n, n))
+            got = []
+        except MetricValidationError as err:
+            got = err.violations
+        assert got == expected
 
 
 class TestEmbedFiniteMetric:
