@@ -9,7 +9,7 @@ scale and spacing the blocks along the diagonal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import (
     MetricValidationError,
     NonpositiveSeparation,
     OutOfCube,
+    SizeMismatch,
     TooLarge,
 )
 from .metrics import distance_matrix
@@ -89,6 +90,19 @@ def validate_metric(matrix, labels: Optional[Sequence[str]] = None,
     if violations:
         raise MetricValidationError(violations)
     return FiniteMetricSpace(tuple(labels), mat)
+
+
+def check_isometry(X: FiniteMetricSpace, diagrams: Sequence[Diagram],
+                   metric: str = "bottleneck", p: float = 2.0) -> float:
+    """Max absolute deviation between source and diagram distances.
+
+    metric is "bottleneck" or "wasserstein" (with exponent p).
+    """
+    if len(diagrams) != X.n_points:
+        raise SizeMismatch(f"{len(diagrams)} diagrams for {X.n_points} points")
+    iu = np.triu_indices(X.n_points, 1)
+    image = distance_matrix(diagrams, metric, p)
+    return float(np.abs(image[iu] - X.dist[iu]).max(initial=0.0))
 
 
 def embed_finite_metric(X: FiniteMetricSpace, scale: Optional[float] = None) -> list[Diagram]:
@@ -290,7 +304,7 @@ def embed_coarse_union(U: BlockedSpace) -> UnionEmbedding:
     params = U.block_params
     if len(blocks) == 1:
         diags = embed_finite_metric(blocks[0])
-        dev = _intra_deviation(blocks[0], diags)
+        dev = check_isometry(blocks[0], diags)
         return UnionEmbedding(tuple(diags), dev, (), (max(params[0][0], 0.0),), (0.0,))
     required = {
         (i, j): params[i][1] + params[j][1]
@@ -315,15 +329,10 @@ def embed_coarse_union(U: BlockedSpace) -> UnionEmbedding:
             ]
         per_block.append(shifted)
         off += 3.0 * max(b.n_points - 1, 1) * rho + 2.0 * big_c
-    intra = max(_intra_deviation(b, dgms) for b, dgms in zip(blocks, per_block))
+    intra = max(check_isometry(b, dgms) for b, dgms in zip(blocks, per_block))
     cross: list[CrossSeparation] = []
     for (i, j), req in sorted(required.items()):
         realized = float(distance_matrix(per_block[i], cols=per_block[j]).min())
         cross.append(CrossSeparation(i, j, req, realized))
     diagrams = tuple(d for dgms in per_block for d in dgms)
     return UnionEmbedding(diagrams, intra, tuple(cross), tuple(scales), tuple(offsets))
-
-
-def _intra_deviation(block: FiniteMetricSpace, diagrams: Sequence[Diagram]) -> float:
-    iu = np.triu_indices(block.n_points, 1)
-    return float(np.abs(distance_matrix(diagrams)[iu] - block.dist[iu]).max(initial=0.0))

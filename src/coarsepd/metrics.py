@@ -1,15 +1,17 @@
-"""Bottleneck and p-Wasserstein distances via diagonal-augmented tuples.
+"""Bottleneck and p-Wasserstein distances between persistence diagrams.
 
-Both distances are minima over permutations of the padded tuples: the
-bottleneck aggregates per-pair costs with max, the p-Wasserstein with an
-l_p sum.  The bottleneck value comes from a threshold search over the
-discrete set of pairwise costs with a maximum-matching feasibility test;
-the p-Wasserstein value reduces to an optimal assignment on the cost-power
-matrix.  ``bottleneck`` and ``wasserstein`` also return the lex-min optimal
-matching at every width; ``bottleneck_distance``, ``wasserstein_distance`` and
-``distance_matrix`` return the same values without one.  The
+Both distances are minima over matchings of the two diagrams padded with
+the diagonal point to width 2 * max(n, m): the bottleneck aggregates
+per-pair costs with max, the p-Wasserstein with an l_p sum.  The
+bottleneck value comes from a threshold search over the discrete set of
+pairwise costs with a maximum-matching feasibility test; the p-Wasserstein
+value reduces to an optimal assignment on the cost-power matrix.
+``bottleneck`` and ``wasserstein`` also return the lex-min optimal matching
+at every width; ``bottleneck_distance``, ``wasserstein_distance`` and
+``distance_matrix`` return the same values without one.  The solvers build
+the padded cost matrix in blocks from coordinate arrays.  The
 ``*_bruteforce`` variants minimize over all permutations directly and act
-as independent oracles.
+as independent oracles; they build their costs point by point with ``delta``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .assignment import (
     min_assignment_max,
     min_assignment_sum,
 )
-from .diagram import DELTA, Diagram, Point, augment, delta, is_delta, persistence
+from .diagram import Diagram, Point, augment, delta, is_delta, persistence
 from .errors import InvalidExponent, OversizeForOracle
 
 ORACLE_MAX_WIDTH = 10
@@ -53,21 +55,28 @@ class Matching:
 
 
 def cost_matrix(left: tuple[Point, ...], right: tuple[Point, ...]) -> np.ndarray:
-    """Matrix of pairwise extended-metric costs between two point tuples."""
-    ml = np.array([is_delta(p) for p in left], dtype=bool)
-    mr = np.array([is_delta(p) for p in right], dtype=bool)
-    bl = np.array([0.0 if is_delta(p) else p[0] for p in left])
-    dl = np.array([0.0 if is_delta(p) else p[1] for p in left])
-    br = np.array([0.0 if is_delta(p) else p[0] for p in right])
-    dr = np.array([0.0 if is_delta(p) else p[1] for p in right])
-    pl = (dl - bl) / 2.0
-    pr = (dr - br) / 2.0
-    sup = np.maximum(np.abs(bl[:, None] - br[None, :]), np.abs(dl[:, None] - dr[None, :]))
-    out = np.where(
-        ml[:, None] & mr[None, :],
-        0.0,
-        np.where(ml[:, None], pr[None, :], np.where(mr[None, :], pl[:, None], sup)),
-    )
+    """Matrix of pairwise extended-metric costs between two point tuples.
+
+    The per-pair reference: one ``delta`` call per entry.  The oracles use
+    it, so their costs share no code with the solvers' ``_cost``.
+    """
+    return np.array([[delta(a, b) for b in right] for a in left]).reshape(len(left), len(right))
+
+
+def _cost(z: Diagram, w: Diagram) -> np.ndarray:
+    """Square cost matrix of z and w padded with DELTA to width 2 * max(n, m).
+
+    Equal to ``cost_matrix`` on the ``augment``-ed pair, built in blocks:
+    the sup metric between points, each point's persistence against every
+    DELTA slot, and zero between DELTA slots.
+    """
+    n, m = len(z), len(w)
+    a = np.array(z.points, dtype=float).reshape(-1, 2)
+    b = np.array(w.points, dtype=float).reshape(-1, 2)
+    out = np.zeros((2 * max(n, m),) * 2)
+    out[:n, :m] = np.maximum(np.abs(a[:, None, 0] - b[:, 0]), np.abs(a[:, None, 1] - b[:, 1]))
+    out[:n, m:] = ((a[:, 1] - a[:, 0]) / 2.0)[:, None]
+    out[n:, :m] = (b[:, 1] - b[:, 0]) / 2.0
     return out
 
 
@@ -101,10 +110,9 @@ def bottleneck(z: Diagram, w: Diagram) -> tuple[float, Matching]:
     Among optimal matchings the lexicographically smallest permutation is
     returned.
     """
-    pair = augment(z, w)
-    if pair.width == 0:
+    cost = _cost(z, w)
+    if cost.size == 0:
         return 0.0, Matching((), 0.0)
-    cost = cost_matrix(pair.left, pair.right)
     value = _bottleneck_value(cost)
     phi = lex_min_perfect_matching(cost <= value)
     return value, Matching(phi, value)
@@ -112,10 +120,8 @@ def bottleneck(z: Diagram, w: Diagram) -> tuple[float, Matching]:
 
 def bottleneck_distance(z: Diagram, w: Diagram) -> float:
     """Exact bottleneck distance without a matching; equals ``bottleneck(z, w)[0]``."""
-    pair = augment(z, w)
-    if pair.width == 0:
-        return 0.0
-    return _bottleneck_value(cost_matrix(pair.left, pair.right))
+    cost = _cost(z, w)
+    return _bottleneck_value(cost) if cost.size else 0.0
 
 
 def bottleneck_bruteforce(z: Diagram, w: Diagram) -> tuple[float, Matching]:
@@ -188,13 +194,10 @@ def _wasserstein_solve(z: Diagram, w: Diagram, p: float,
     swapped = w.points < z.points
     if swapped:
         z, w = w, z
-    pair = augment(z, w)
-    if pair.width == 0:
-        return 0.0, ()
-    cost = cost_matrix(pair.left, pair.right)
-    top = float(cost.max())
+    cost = _cost(z, w)
+    top = float(cost.max(initial=0.0))
     if top == 0.0:
-        return 0.0, tuple(range(pair.width))
+        return 0.0, tuple(range(len(cost)))
     powered = (cost / top) ** p
     rows, cols = linear_sum_assignment(powered)
     optimum = float(powered[rows, cols].sum())

@@ -9,7 +9,7 @@ import numpy as np
 
 from .diagram import Diagram
 from .errors import EmptySpace, SizeMismatch
-from .embeddings import FiniteMetricSpace
+from .embeddings import FiniteMetricSpace, check_isometry  # check_isometry is re-exported
 from .metrics import distance_matrix
 
 
@@ -80,19 +80,6 @@ def profile_map(X: FiniteMetricSpace, image_dist,
         bin_width=float(bin_width),
         lower_envelope_growing=growing,
     )
-
-
-def check_isometry(X: FiniteMetricSpace, diagrams: Sequence[Diagram],
-                   metric: str = "bottleneck", p: float = 2.0) -> float:
-    """Max absolute deviation between source and diagram distances.
-
-    metric is "bottleneck" or "wasserstein" (with exponent p).
-    """
-    if len(diagrams) != X.n_points:
-        raise SizeMismatch(f"{len(diagrams)} diagrams for {X.n_points} points")
-    iu = np.triu_indices(X.n_points, 1)
-    image = distance_matrix(diagrams, metric, p)
-    return float(np.abs(image[iu] - X.dist[iu]).max(initial=0.0))
 
 
 def image_distance_matrix(diagrams: Sequence[Diagram], metric: str = "bottleneck",

@@ -26,7 +26,7 @@ from coarsepd import (
     wasserstein_distance,
 )
 from coarsepd.assignment import lex_min_perfect_matching, min_assignment_max, min_assignment_sum
-from coarsepd.metrics import _tight_edges, cost_matrix
+from coarsepd.metrics import _cost, _tight_edges, cost_matrix
 from conftest import random_diagram
 
 
@@ -282,6 +282,20 @@ BOUND_BELOW_OPTIMUM = (d((1, 4)), d((1, 4), (1, 4)))
 # Seven points a side: augmented width 14, past the brute-force oracles' limit of 10.
 WIDE = (canonicalize([(i, i + 2.0) for i in range(7)]),
         canonicalize([(i + 0.5, i + 3.0) for i in range(7)]))
+
+
+class TestCostBuilder:
+    @settings(max_examples=100, deadline=None)
+    @given(diagrams(), diagrams())
+    @example(Diagram(), Diagram())
+    @example(Diagram(), d((0, 2), (1, 4)))
+    @example(d((0, 2), (1, 4)), Diagram())
+    @example(*WIDE)
+    def test_block_builder_equals_per_pair_reference(self, z, w):
+        pair = augment(z, w)
+        built, reference = _cost(z, w), cost_matrix(pair.left, pair.right)
+        assert built.dtype == reference.dtype and built.shape == reference.shape
+        assert built.tobytes() == reference.tobytes()
 
 
 class TestValueOnly:
