@@ -13,8 +13,8 @@ from scipy.sparse.csgraph import shortest_path
 
 from coarsepd import (
     check_isometry,
+    distance_matrix,
     embed_finite_metric,
-    image_distance_matrix,
     profile_map,
     validate_metric,
 )
@@ -46,7 +46,7 @@ def main() -> None:
     deviation = check_isometry(X, diagrams, metric="bottleneck")
     print(f"\nmax |d_X(i,j) - d_B(f(i), f(j))| = {deviation:.2e}  (isometry)")
 
-    image = image_distance_matrix(diagrams, "bottleneck")
+    image = distance_matrix(diagrams, "bottleneck")
     prof = profile_map(X, image)
     occupied = ~np.isnan(prof.rho1)
     print("\ncoarse profile (lower envelope rho1 / upper envelope rho2):")

@@ -104,8 +104,6 @@ def _min_assignment(cost: np.ndarray, combine) -> list[float]:
     global optimum and every permutation is accounted for.
     """
     n = cost.shape[0]
-    if n == 0:
-        return [0.0]
     if n > 20:
         raise ValueError("subset DP limited to n <= 20")
     rows = cost.tolist()

@@ -25,8 +25,8 @@ from .cover import (
     verify_cover,
 )
 from .diagram import Diagram
-from .embeddings import dranishnikov_S, embed_coarse_union, embed_cube_point, \
-    embed_finite_metric, zkm_space
+from .embeddings import check_isometry, dranishnikov_S, embed_coarse_union, \
+    embed_cube_point, embed_finite_metric, zkm_space
 from .errors import (
     CoarsePDError,
     InvalidPoint,
@@ -44,7 +44,7 @@ from .metrics import (
     wasserstein,
     wasserstein_bruteforce,
 )
-from .profile import check_isometry, image_distance_matrix, profile_map
+from .profile import profile_map
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -63,16 +63,17 @@ def _sig12(value: float) -> str:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, default=_jsonable)
+    json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return repr(obj)
+def _save_diagrams(diagrams, out_dir: Path, stem: str) -> list[str]:
+    files = []
+    for k, dgm in enumerate(diagrams):
+        path = out_dir / f"{stem}_{k:03d}.json"
+        io.save_diagram(dgm, path)
+        files.append(str(path))
+    return files
 
 
 def _matching_json(z: Diagram, w: Diagram, matching) -> list[dict]:
@@ -111,11 +112,7 @@ def _cmd_embed(args) -> int:
     diagrams = embed_finite_metric(space)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for k, dgm in enumerate(diagrams):
-        path = out_dir / f"diagram_{k:03d}.json"
-        io.save_diagram(dgm, path)
-        files.append(str(path))
+    files = _save_diagrams(diagrams, out_dir, "diagram")
     deviation = check_isometry(space, diagrams)
     _emit({
         "points": space.n_points,
@@ -176,14 +173,8 @@ def _cmd_gen(args) -> int:
         n, radius, samples = int(args.cube[0]), float(args.cube[1]), int(args.cube[2])
         rng = np.random.default_rng(args.seed)
         points = rng.uniform(0.0, radius, size=(samples, n))
-        files = []
-        diagrams = []
-        for k, x in enumerate(points):
-            dgm = embed_cube_point(x, radius)
-            diagrams.append(dgm)
-            path = out_dir / f"cube_{k:03d}.json"
-            io.save_diagram(dgm, path)
-            files.append(str(path))
+        diagrams = [embed_cube_point(x, radius) for x in points]
+        files = _save_diagrams(diagrams, out_dir, "cube")
         sup = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2, initial=0.0)
         deviation = float(np.abs(distance_matrix(diagrams) - sup).max(initial=0.0))
         _emit({
@@ -201,11 +192,7 @@ def _cmd_gen(args) -> int:
     embedding = embed_coarse_union(blocked)
     metric_path = out_dir / f"dranishnikov_{max_n}_{max_m}.csv"
     io.save_metric(blocked.space, metric_path)
-    files = []
-    for k, dgm in enumerate(embedding.diagrams):
-        path = out_dir / f"dranishnikov_{k:03d}.json"
-        io.save_diagram(dgm, path)
-        files.append(str(path))
+    files = _save_diagrams(embedding.diagrams, out_dir, "dranishnikov")
     meta = blocked.block_meta
     cross = []
     bounds_ok = True
@@ -243,10 +230,8 @@ def _cmd_profile(args) -> int:
         diagrams = [io.load_diagram(p) for p in args.diagrams]
         if len(diagrams) != source.n_points:
             raise SizeMismatch(f"{len(diagrams)} diagrams for {source.n_points} points")
-        if args.wasserstein is not None:
-            image = image_distance_matrix(diagrams, "wasserstein", args.wasserstein)
-        else:
-            image = image_distance_matrix(diagrams, "bottleneck")
+        metric = "bottleneck" if args.wasserstein is None else "wasserstein"
+        image = distance_matrix(diagrams, metric, args.wasserstein)
     elif args.image is not None:
         image = io.load_metric(args.image).dist
         if image.shape != source.dist.shape:
@@ -260,7 +245,7 @@ def _cmd_profile(args) -> int:
     prof = profile_map(source, image, bin_width=bin_width)
     _emit({
         "bin_width": prof.bin_width,
-        "bin_edges": prof.bin_edges,
+        "bin_edges": prof.bin_edges.tolist(),
         "rho1": [None if np.isnan(v) else float(v) for v in prof.rho1],
         "rho2": [None if np.isnan(v) else float(v) for v in prof.rho2],
         "pairs": int(prof.source_distances.size),

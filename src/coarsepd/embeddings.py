@@ -224,20 +224,13 @@ def coarse_disjoint_union(blocks: Sequence[FiniteMetricSpace],
     block_of = tuple(bi for bi, sz in enumerate(sizes) for _ in range(sz))
     if len(blocks) == 1:
         return BlockedSpace(blocks[0], tuple(blocks), block_of, params, block_meta)
-    total = sum(sizes)
-    dist = np.zeros((total, total))
-    labels: list[str] = []
+    radius = np.array([c for _, c in params])[list(block_of)]
+    dist = radius[:, None] + radius[None, :]
     offsets = np.cumsum([0] + sizes)
     for bi, b in enumerate(blocks):
-        lo, hi = offsets[bi], offsets[bi + 1]
-        dist[lo:hi, lo:hi] = b.dist
-        labels.extend(f"{bi}:{lab}" for lab in b.labels)
-        for bj in range(bi + 1, len(blocks)):
-            lo2, hi2 = offsets[bj], offsets[bj + 1]
-            cross = params[bi][1] + params[bj][1]
-            dist[lo:hi, lo2:hi2] = cross
-            dist[lo2:hi2, lo:hi] = cross
-    if total <= _VALIDATE_UNION_MAX:
+        dist[offsets[bi]:offsets[bi + 1], offsets[bi]:offsets[bi + 1]] = b.dist
+    labels = [f"{bi}:{lab}" for bi, b in enumerate(blocks) for lab in b.labels]
+    if len(labels) <= _VALIDATE_UNION_MAX:
         space = validate_metric(dist, labels)
     else:
         space = FiniteMetricSpace(tuple(labels), dist)
@@ -306,15 +299,12 @@ def embed_coarse_union(U: BlockedSpace) -> UnionEmbedding:
         diags = embed_finite_metric(blocks[0])
         dev = check_isometry(blocks[0], diags)
         return UnionEmbedding(tuple(diags), dev, (), (max(params[0][0], 0.0),), (0.0,))
-    required = {
-        (i, j): params[i][1] + params[j][1]
-        for i in range(len(blocks))
-        for j in range(i + 1, len(blocks))
-    }
+    required = {(i, j): params[i][1] + params[j][1]
+                for i, j in itertools.combinations(range(len(blocks)), 2)}
     big_c = max(required.values())
     scales: list[float] = []
     offsets: list[float] = []
-    per_block: list[list[Diagram]] = []
+    diagrams: list[Diagram] = []
     off = 0.0
     for b, (diam, _) in zip(blocks, params):
         rho = max(diam, big_c)
@@ -327,12 +317,14 @@ def embed_coarse_union(U: BlockedSpace) -> UnionEmbedding:
                 Diagram(tuple((bb + off, dd + off) for bb, dd in dgm.points))
                 for dgm in embed_finite_metric(b, scale=rho)
             ]
-        per_block.append(shifted)
+        diagrams += shifted
         off += 3.0 * max(b.n_points - 1, 1) * rho + 2.0 * big_c
-    intra = max(check_isometry(b, dgms) for b, dgms in zip(blocks, per_block))
-    cross: list[CrossSeparation] = []
-    for (i, j), req in sorted(required.items()):
-        realized = float(distance_matrix(per_block[i], cols=per_block[j]).min())
-        cross.append(CrossSeparation(i, j, req, realized))
-    diagrams = tuple(d for dgms in per_block for d in dgms)
-    return UnionEmbedding(diagrams, intra, tuple(cross), tuple(scales), tuple(offsets))
+    image = distance_matrix(diagrams)
+    owner = np.array(U.block_of)
+    same = owner[:, None] == owner[None, :]
+    intra = float(np.abs(image - U.space.dist)[same].max(initial=0.0))
+    cross = tuple(
+        CrossSeparation(i, j, req, float(image[np.ix_(owner == i, owner == j)].min()))
+        for (i, j), req in required.items()
+    )
+    return UnionEmbedding(tuple(diagrams), intra, cross, tuple(scales), tuple(offsets))

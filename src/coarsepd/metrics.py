@@ -275,13 +275,11 @@ def check_coarse_equiv_bounds(z: Diagram, w: Diagram, p: float, tol: float = 1e-
 
 
 def distance_matrix(diagrams: Sequence[Diagram], metric: str = "bottleneck",
-                    p: float = 2.0, *, cols: Optional[Sequence[Diagram]] = None) -> np.ndarray:
-    """Pairwise diagram distances, values only.
+                    p: float = 2.0) -> np.ndarray:
+    """Symmetric all-pairs matrix of diagram distances, values only.
 
-    Without ``cols``: the symmetric all-pairs matrix of ``diagrams``, each
-    unordered pair computed once.  With ``cols``: the block-vs-block
-    matrix, entry (i, j) the distance from ``diagrams[i]`` to ``cols[j]``.
-    metric is "bottleneck" or "wasserstein" (with exponent p).
+    Each unordered pair is computed once.  metric is "bottleneck" or
+    "wasserstein" (with exponent p).
     """
     if metric == "bottleneck":
         dist = bottleneck_distance
@@ -290,16 +288,10 @@ def distance_matrix(diagrams: Sequence[Diagram], metric: str = "bottleneck",
     else:
         raise ValueError(f"unknown metric {metric!r}")
     rows = list(diagrams)
-    if cols is None:
-        others = rows
-        pairs = itertools.combinations(range(len(rows)), 2)
-    else:
-        others = list(cols)
-        pairs = itertools.product(range(len(rows)), range(len(others)))
-    out = np.zeros((len(rows), len(others)))
-    for i, j in pairs:
-        out[i, j] = dist(rows[i], others[j])
-    return out + out.T if cols is None else out
+    out = np.zeros((len(rows), len(rows)))
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        out[i, j] = dist(rows[i], rows[j])
+    return out + out.T
 
 
 def describe_matching(z: Diagram, w: Diagram, matching: Matching) -> list[tuple[Optional[int], Optional[int]]]:

@@ -1,16 +1,14 @@
-"""Empirical coarse-map diagnostics: distance envelopes and isometry checks."""
+"""Empirical coarse-map diagnostics: distance envelopes of a map."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .diagram import Diagram
 from .errors import EmptySpace, SizeMismatch
-from .embeddings import FiniteMetricSpace, check_isometry  # check_isometry is re-exported
-from .metrics import distance_matrix
+from .embeddings import FiniteMetricSpace
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,11 +56,8 @@ def profile_map(X: FiniteMetricSpace, image_dist,
     idx = np.minimum((t / bin_width).astype(int), nbins - 1)
     mins = np.full(nbins, np.nan)
     maxs = np.full(nbins, np.nan)
-    for b in range(nbins):
-        mask = idx == b
-        if mask.any():
-            mins[b] = s[mask].min()
-            maxs[b] = s[mask].max()
+    np.fmin.at(mins, idx, s)
+    np.fmax.at(maxs, idx, s)
     empty = np.isnan(mins)
     rho1 = np.fmin.accumulate(mins[::-1])[::-1]
     rho2 = np.fmax.accumulate(maxs)
@@ -81,8 +76,3 @@ def profile_map(X: FiniteMetricSpace, image_dist,
         lower_envelope_growing=growing,
     )
 
-
-def image_distance_matrix(diagrams: Sequence[Diagram], metric: str = "bottleneck",
-                          p: float = 2.0) -> np.ndarray:
-    """Pairwise diagram distances as a symmetric matrix."""
-    return distance_matrix(diagrams, metric, p)

@@ -5,9 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from coarsepd import Diagram, canonicalize, validate_metric, zkm_space
+from coarsepd import (
+    Diagram,
+    canonicalize,
+    distance_matrix,
+    embed_finite_metric,
+    profile_map,
+    validate_metric,
+    zkm_space,
+)
 from coarsepd import io as cpio
 from coarsepd.cli import main
+from conftest import random_connected_metric
 
 
 def write_diagram(path, points):
@@ -18,6 +27,22 @@ def write_metric(path, labels, matrix):
     rows = [",".join(labels)]
     rows += [",".join(repr(float(v)) for v in row) for row in matrix]
     path.write_text("\n".join(rows) + "\n")
+
+
+def save_diagrams(directory, diagrams):
+    files = [str(directory / f"d{k}.json") for k in range(len(diagrams))]
+    for dgm, path in zip(diagrams, files):
+        cpio.save_diagram(dgm, path)
+    return files
+
+
+def assert_envelopes(out, prof):
+    """The profile command's JSON carries exactly the envelopes of ``prof``."""
+    assert out["bin_width"] == prof.bin_width
+    assert out["bin_edges"] == prof.bin_edges.tolist()
+    assert out["rho1"] == [None if np.isnan(v) else v for v in prof.rho1.tolist()]
+    assert out["rho2"] == [None if np.isnan(v) else v for v in prof.rho2.tolist()]
+    assert out["pairs"] == prof.source_distances.size
 
 
 class TestRoundTrip:
@@ -219,6 +244,44 @@ class TestProfile:
         capsys.readouterr()
         assert code == 1
 
+
+    def test_diagram_profile_wasserstein(self, tmp_path, capsys, rng):
+        X = random_connected_metric(rng, 6)
+        cpio.save_metric(X, tmp_path / "src.csv")
+        diagrams = embed_finite_metric(X)
+        code = main(["profile", str(tmp_path / "src.csv"), "--diagrams",
+                     *save_diagrams(tmp_path, diagrams), "--wasserstein", "2"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert_envelopes(out, profile_map(X, distance_matrix(diagrams, "wasserstein", 2)))
+
+    def test_bins(self, tmp_path, capsys, rng):
+        X = random_connected_metric(rng, 7)
+        cpio.save_metric(X, tmp_path / "src.csv")
+        cpio.save_metric(validate_metric(2.0 * X.dist), tmp_path / "img.csv")
+        code = main(["profile", str(tmp_path / "src.csv"), str(tmp_path / "img.csv"),
+                     "--bins", "5"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        tmax = float(np.triu(X.dist, 1).max())
+        assert out["bin_width"] == tmax / 5
+        assert_envelopes(out, profile_map(X, 2.0 * X.dist, bin_width=tmax / 5))
+
+    def test_diagram_count_mismatch_exit1(self, tmp_path, capsys, rng):
+        X = random_connected_metric(rng, 5)
+        cpio.save_metric(X, tmp_path / "src.csv")
+        files = save_diagrams(tmp_path, embed_finite_metric(X)[:4])
+        code = main(["profile", str(tmp_path / "src.csv"), "--diagrams", *files])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "4 diagrams for 5 points" in captured.err
+
+    def test_no_image_exit1(self, tmp_path, capsys, rng):
+        cpio.save_metric(random_connected_metric(rng, 4), tmp_path / "src.csv")
+        code = main(["profile", str(tmp_path / "src.csv")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "provide an image metric file or --diagrams" in captured.err
 
 @pytest.mark.parametrize("command", ["profile", "embed"])
 def test_non_finite_metric_exit3(tmp_path, capsys, command):

@@ -24,6 +24,7 @@ from coarsepd import (
     wasserstein,
     zkm_space,
 )
+from coarsepd.embeddings import _VALIDATE_UNION_MAX
 from conftest import random_connected_metric
 
 
@@ -219,6 +220,18 @@ class TestCoarseDisjointUnion:
         assert cross == 5.0
         assert cross > max(b1.diameter, b2.diameter)
         validate_metric(U.space.dist, U.space.labels)
+
+    def test_unvalidated_branch_above_cap(self):
+        b0, b1 = zkm_space(17, 2), zkm_space(16, 2)
+        U = coarse_disjoint_union([b0, b1], [0.1, 0.2])
+        assert U.space.n_points == 545 > _VALIDATE_UNION_MAX
+        assert U.space.labels == tuple(f"0:{lab}" for lab in b0.labels) + tuple(
+            f"1:{lab}" for lab in b1.labels)
+        dist = U.space.dist
+        assert dist[:289, :289].tobytes() == b0.dist.tobytes()
+        assert dist[289:, 289:].tobytes() == b1.dist.tobytes()
+        cross = U.block_params[0][1] + U.block_params[1][1]
+        assert np.all(dist[:289, 289:] == cross) and np.all(dist[289:, :289] == cross)
 
     def test_single_block_passthrough(self):
         b = validate_metric([[0, 1], [1, 0]])

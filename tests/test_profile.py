@@ -2,18 +2,30 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarsepd import (
     Diagram,
     EmptySpace,
     SizeMismatch,
     check_isometry,
+    distance_matrix,
     embed_finite_metric,
-    image_distance_matrix,
     profile_map,
     validate_metric,
 )
 from conftest import random_connected_metric
+
+
+def reference_bins(t, s, bin_width):
+    """Per-bin min and max of s over the pairs whose t falls in the bin, NaN if none."""
+    nbins = int(np.floor(t.max() / bin_width)) + 1
+    idx = np.minimum((t / bin_width).astype(int), nbins - 1)
+    mins, maxs = np.full(nbins, np.nan), np.full(nbins, np.nan)
+    for b in range(nbins):
+        if (idx == b).any():
+            mins[b], maxs[b] = s[idx == b].min(), s[idx == b].max()
+    return mins, maxs
 
 
 class TestProfileMap:
@@ -36,7 +48,7 @@ class TestProfileMap:
     def test_embedding_profile_is_identity(self, rng):
         X = random_connected_metric(rng, 8)
         diagrams = embed_finite_metric(X)
-        image = image_distance_matrix(diagrams, "bottleneck")
+        image = distance_matrix(diagrams, "bottleneck")
         prof = profile_map(X, image)
         mask = ~np.isnan(prof.rho1)
         assert np.all(prof.rho2[mask] - prof.rho1[mask] <= prof.bin_width + 1e-9)
@@ -57,6 +69,25 @@ class TestProfileMap:
         for rho in (prof.rho1, prof.rho2):
             finite = rho[~np.isnan(rho)]
             assert np.all(np.diff(finite) >= -1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 9), st.integers(0, 2**32 - 1), st.floats(0.05, 3.0))
+    def test_equals_per_bin_reference(self, n, seed, bin_width):
+        rng = np.random.default_rng(seed)
+        # Distances in [10, 20] always form a metric and leave the low bins empty.
+        upper = np.triu(rng.integers(10, 21, size=(n, n)), 1).astype(float)
+        X = validate_metric(upper + upper.T)
+        image = rng.uniform(0.0, 5.0, size=(n, n))
+        prof = profile_map(X, image, bin_width=bin_width)
+        iu = np.triu_indices(n, 1)
+        mins, maxs = reference_bins(X.dist[iu], image[iu], bin_width)
+        empty = np.isnan(mins)
+        rho1 = np.fmin.accumulate(mins[::-1])[::-1]
+        rho2 = np.fmax.accumulate(maxs)
+        assert np.array_equal(np.isnan(prof.rho1), empty)
+        assert np.array_equal(np.isnan(prof.rho2), empty)
+        assert np.array_equal(prof.rho1[~empty], rho1[~empty])
+        assert np.array_equal(prof.rho2[~empty], rho2[~empty])
 
     def test_single_point_rejected(self):
         X = validate_metric([[0.0]])
