@@ -10,11 +10,11 @@ Run:  python3 demos/cube_and_covers.py
 """
 
 from coarsepd import (
-    brick_classify,
+    brick_classify_array,
     diagram_point_sampler,
-    bottleneck_1pt,
+    bottleneck_1pt_array,
     embed_cube_point,
-    interval_classify,
+    interval_classify_array,
     line_sampler,
     lower_bound_demo,
     verify_cover,
@@ -37,7 +37,7 @@ def main() -> None:
 
     print("\nbrick cover of single-point diagrams (3 families, scale R=1):")
     sample, perturb = diagram_point_sampler(max_persistence=1e4)
-    report = verify_cover(sample, brick_classify, bottleneck_1pt,
+    report = verify_cover(sample, brick_classify_array, bottleneck_1pt_array,
                           R=1.0, trials=20000, seed=11, uniform_bound=6.0,
                           perturb=perturb)
     print(f"  violations: {len(report.violations)}")
@@ -48,7 +48,7 @@ def main() -> None:
 
     print("\ninterval cover of the line (2 families) as a sanity baseline:")
     sample, perturb = line_sampler(window=1000.0)
-    report = verify_cover(sample, interval_classify, lambda a, b: abs(a - b),
+    report = verify_cover(sample, interval_classify_array, lambda a, b: abs(a - b),
                           R=1.0, trials=20000, seed=5, uniform_bound=2.0,
                           perturb=perturb)
     print(f"  violations: {len(report.violations)}, "

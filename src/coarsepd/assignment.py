@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 
 def _max_matching(ok: np.ndarray) -> np.ndarray:
     """Column of each row in a maximum matching of ok, -1 for an unmatched row."""
+    # Imported here so that commands which never match do not load scipy.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     # Built from index arrays: on small graphs scipy's dense-to-sparse
     # conversion costs more than the matching itself.
     indptr = np.zeros(ok.shape[0] + 1, dtype=np.int32)

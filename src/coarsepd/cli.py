@@ -18,9 +18,9 @@ import numpy as np
 
 from . import io
 from .cover import (
-    brick_classify,
+    brick_classify_array,
     diagram_point_sampler,
-    interval_classify,
+    interval_classify_array,
     line_sampler,
     verify_cover,
 )
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .metrics import (
     bottleneck,
-    bottleneck_1pt,
+    bottleneck_1pt_array,
     bottleneck_bruteforce,
     describe_matching,
     distance_matrix,
@@ -127,13 +127,13 @@ def _cmd_embed(args) -> int:
 def _cmd_cover(args) -> int:
     if args.space == "line":
         sample, perturb = line_sampler(window=args.window * args.scale)
-        classify = interval_classify
+        classify = interval_classify_array
         metric = lambda a, b: abs(a - b)
         bound = 2.0 * args.scale
     else:
         sample, perturb = diagram_point_sampler(max_persistence=args.window * args.scale)
-        classify = brick_classify
-        metric = bottleneck_1pt
+        classify = brick_classify_array
+        metric = bottleneck_1pt_array
         bound = 6.0 * args.scale
     report = verify_cover(sample, classify, metric, args.scale,
                           args.trials, args.seed, bound, perturb=perturb)
@@ -258,6 +258,8 @@ def _positive_float(raw: str) -> float:
     value = float(raw)
     if value <= 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {raw}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {raw}")
     return value
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .assignment import (
     has_perfect_matching,
@@ -191,6 +190,10 @@ def _wasserstein_solve(z: Diagram, w: Diagram, p: float,
     bitwise symmetric (summation order cannot perturb the last ulp); a
     pairing found for the swapped order is inverted back.
     """
+    # Imported here so that only W_p loads scipy.optimize, and before any
+    # return so that a first call on equal diagrams loads it too.
+    from scipy.optimize import linear_sum_assignment
+
     swapped = w.points < z.points
     if swapped:
         z, w = w, z
@@ -262,6 +265,16 @@ def bottleneck_1pt(a: Point, b: Point) -> float:
     if is_delta(a) or is_delta(b):
         return delta(a, b)
     return min(delta(a, b), max(persistence(a), persistence(b)))
+
+
+def bottleneck_1pt_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``bottleneck_1pt`` of paired (births, deaths) arrays, NaN columns being DELTA."""
+    a_delta, b_delta = np.isnan(a[0]), np.isnan(b[0])
+    pa = np.where(a_delta, 0.0, (a[1] - a[0]) / 2.0)
+    pb = np.where(b_delta, 0.0, (b[1] - b[0]) / 2.0)
+    sup = np.maximum(np.abs(a[0] - b[0]), np.abs(a[1] - b[1]))
+    direct = np.minimum(sup, np.maximum(pa, pb))
+    return np.where(a_delta, pb, np.where(b_delta, pa, direct))
 
 
 def check_coarse_equiv_bounds(z: Diagram, w: Diagram, p: float, tol: float = 1e-9) -> bool:

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptySpace, SizeMismatch
+from .errors import EmptySpace, MetricValidationError, SizeMismatch
 from .embeddings import FiniteMetricSpace
 
 
@@ -35,8 +35,10 @@ def profile_map(X: FiniteMetricSpace, image_dist,
                 bin_width: Optional[float] = None) -> CoarseProfile:
     """Envelope profile of a map given source and image pairwise distances.
 
-    image_dist must be an |X| x |X| matrix indexed consistently with X.
-    Default bin width is (max source distance) / 64.
+    image_dist must be an |X| x |X| matrix indexed consistently with X;
+    NaN or infinite entries raise MetricValidationError with their
+    ("non_finite", i, j) witnesses in row-major order.  Default bin width
+    is (max source distance) / 64.
     """
     n = X.n_points
     if n < 2:
@@ -44,6 +46,9 @@ def profile_map(X: FiniteMetricSpace, image_dist,
     image = np.array(image_dist, dtype=float)
     if image.shape != X.dist.shape:
         raise SizeMismatch(f"image shape {image.shape} != source shape {X.dist.shape}")
+    bad = np.argwhere(~np.isfinite(image)).tolist()
+    if bad:
+        raise MetricValidationError([("non_finite", i, j) for i, j in bad])
     iu = np.triu_indices(n, 1)
     t = X.dist[iu]
     s = image[iu]

@@ -14,10 +14,10 @@ from coarsepd import (
     DELTA,
     augment,
     bottleneck,
-    bottleneck_1pt,
+    bottleneck_1pt_array,
     bottleneck_bruteforce,
-    brick_classify,
-    broken_interval_classify,
+    brick_classify_array,
+    broken_interval_classify_array,
     canonicalize,
     check_coarse_equiv_bounds,
     coarse_disjoint_union,
@@ -26,7 +26,7 @@ from coarsepd import (
     embed_coarse_union,
     embed_cube_point,
     embed_finite_metric,
-    interval_classify,
+    interval_classify_array,
     line_sampler,
     validate_metric,
     verify_cover,
@@ -156,18 +156,18 @@ def test_criterion_5_cube_isometry(n, R):
 def test_criterion_6_cover_witnesses():
     for R in (1.0, 10.0, 100.0):
         sample, perturb = diagram_point_sampler(max_persistence=1e4 * R)
-        report = verify_cover(sample, brick_classify, bottleneck_1pt,
+        report = verify_cover(sample, brick_classify_array, bottleneck_1pt_array,
                               R, 10000, 7, 6.0 * R, perturb=perturb)
         assert report.ok, f"brick cover violations at R={R}: {report.violations[:3]}"
         assert report.min_same_family_cross_set_distance > R
     for R in (1.0, 5.0):
         sample, perturb = line_sampler(window=1000.0 * R)
-        report = verify_cover(sample, interval_classify,
+        report = verify_cover(sample, interval_classify_array,
                               lambda a, b: abs(a - b), R, 10000, 3, 2.0 * R,
                               perturb=perturb)
         assert report.ok
     sample, perturb = line_sampler(window=100.0)
-    broken = verify_cover(sample, broken_interval_classify,
+    broken = verify_cover(sample, broken_interval_classify_array,
                           lambda a, b: abs(a - b), 1.0, 10000, 11, 2.0,
                           perturb=perturb)
     assert len(broken.violations) >= 1

@@ -1,6 +1,10 @@
 """CLI behaviors: file formats, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +178,43 @@ class TestCover:
         main(args)
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("flag,value", [("--scale", "nan"), ("--scale", "inf"),
+                                            ("--window", "inf"), ("--window", "nan")])
+    def test_non_finite_option_usage_error(self, flag, value, capsys):
+        args = {"--scale": "1", "--window": "10", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["cover", "--space", "d1", "--trials", "10",
+                  "--scale", args["--scale"], "--window", args["--window"]])
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--space", "d1", "--scale", "10", "--window", "1.7e308"],
+        ["--space", "d1", "--scale", "1e300", "--window", "1e8"],
+        ["--space", "line", "--scale", "1", "--window", "1e308"],
+        ["--space", "line", "--scale", "1e308", "--window", "1e-3"],
+    ])
+    def test_non_finite_range_error(self, argv, capsys):
+        code = main(["cover", "--trials", "10", *argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and "range is not finite" in captured.err
+
+    def test_cover_loads_no_scipy(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "import coarsepd.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = coarsepd.cli.main(['cover', '--space', 'd1', '--scale', '1',"
+            " '--trials', '100'])\n"
+            "print(code, sorted(m for m in ('scipy.optimize', 'scipy.sparse')"
+            " if m in sys.modules))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert result.stdout == "0 []\n", result.stderr
 
 
 class TestGen:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from coarsepd import (
     Diagram,
     EmptySpace,
+    MetricValidationError,
     SizeMismatch,
     check_isometry,
     distance_matrix,
@@ -98,6 +99,17 @@ class TestProfileMap:
         X = random_connected_metric(rng, 4)
         with pytest.raises(SizeMismatch):
             profile_map(X, np.zeros((3, 3)))
+
+    def test_non_finite_image_rejected(self):
+        X = validate_metric([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        image = X.dist.copy()
+        image[0, 2] = np.nan
+        image[1, 0] = np.inf
+        image[2, 1] = -np.inf
+        with pytest.raises(MetricValidationError) as exc:
+            profile_map(X, image)
+        assert exc.value.violations == [("non_finite", 0, 2), ("non_finite", 1, 0),
+                                        ("non_finite", 2, 1)]
 
 
 class TestCheckIsometry:
