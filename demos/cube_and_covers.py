@@ -36,10 +36,9 @@ def main() -> None:
           f"d_W,2 = {v:.6f}")
 
     print("\nbrick cover of single-point diagrams (3 families, scale R=1):")
-    sample, perturb = diagram_point_sampler(max_persistence=1e4)
-    report = verify_cover(sample, brick_classify_array, bottleneck_1pt_array,
-                          R=1.0, trials=20000, seed=11, uniform_bound=6.0,
-                          perturb=perturb)
+    report = verify_cover(diagram_point_sampler(max_persistence=1e4),
+                          brick_classify_array, bottleneck_1pt_array,
+                          R=1.0, trials=20000, seed=11, uniform_bound=6.0)
     print(f"  violations: {len(report.violations)}")
     print(f"  min same-family cross-set distance: "
           f"{report.min_same_family_cross_set_distance:.3f} (> R = 1)")
@@ -47,10 +46,9 @@ def main() -> None:
           f"{report.max_set_diameter_observed:.3f} (<= 6R)")
 
     print("\ninterval cover of the line (2 families) as a sanity baseline:")
-    sample, perturb = line_sampler(window=1000.0)
-    report = verify_cover(sample, interval_classify_array, lambda a, b: abs(a - b),
-                          R=1.0, trials=20000, seed=5, uniform_bound=2.0,
-                          perturb=perturb)
+    report = verify_cover(line_sampler(window=1000.0), interval_classify_array,
+                          lambda a, b: abs(a - b),
+                          R=1.0, trials=20000, seed=5, uniform_bound=2.0)
     print(f"  violations: {len(report.violations)}, "
           f"claimed uniform bound {report.uniform_bound_claimed}")
 

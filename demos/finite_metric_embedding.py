@@ -43,7 +43,7 @@ def main() -> None:
     print(f"image diagrams have {[len(d) for d in diagrams]} points each")
     print(f"first diagram: {list(diagrams[0].points)}")
 
-    deviation = check_isometry(X, diagrams, metric="bottleneck")
+    deviation = check_isometry(X, diagrams)
     print(f"\nmax |d_X(i,j) - d_B(f(i), f(j))| = {deviation:.2e}  (isometry)")
 
     image = distance_matrix(diagrams, "bottleneck")

@@ -135,8 +135,6 @@ def min_assignment_max(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
     smallest feasible column per row: the lexicographically smallest optimum.
     """
     n = cost.shape[0]
-    if n == 0:
-        return 0.0, ()
     h = _min_assignment(cost, lambda c, rest: c if c > rest else rest)
     rows = cost.tolist()
     cap = h[0]
@@ -163,8 +161,6 @@ def min_assignment_sum(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
     result is the lexicographically smallest optimal permutation.
     """
     n = cost.shape[0]
-    if n == 0:
-        return 0.0, ()
     h = _min_assignment(cost, lambda c, rest: c + rest)
     rows = cost.tolist()
     perm: list[int] = []

@@ -29,7 +29,6 @@ from .embeddings import check_isometry, dranishnikov_S, embed_coarse_union, \
     embed_cube_point, embed_finite_metric, zkm_space
 from .errors import (
     CoarsePDError,
-    InvalidPoint,
     MetricValidationError,
     OversizeForOracle,
     SizeMismatch,
@@ -126,17 +125,17 @@ def _cmd_embed(args) -> int:
 
 def _cmd_cover(args) -> int:
     if args.space == "line":
-        sample, perturb = line_sampler(window=args.window * args.scale)
+        sampler = line_sampler(window=args.window * args.scale)
         classify = interval_classify_array
         metric = lambda a, b: abs(a - b)
         bound = 2.0 * args.scale
     else:
-        sample, perturb = diagram_point_sampler(max_persistence=args.window * args.scale)
+        sampler = diagram_point_sampler(max_persistence=args.window * args.scale)
         classify = brick_classify_array
         metric = bottleneck_1pt_array
         bound = 6.0 * args.scale
-    report = verify_cover(sample, classify, metric, args.scale,
-                          args.trials, args.seed, bound, perturb=perturb)
+    report = verify_cover(sampler, classify, metric, args.scale,
+                          args.trials, args.seed, bound)
     _emit({
         "space": args.space,
         "scale": report.scale,
@@ -342,8 +341,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (InvalidPoint, SizeMismatch, CoarsePDError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (CoarsePDError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -150,6 +150,10 @@ _MAX_DRAWS = 3
 _TRIAL_DRAWS = 2 * _MAX_DRAWS + 1
 # Trials verified per array pass; unread doubles carry into the next pass.
 _BLOCK_TRIALS = 4096
+# Share of sampled diagram points that are DELTA.
+DELTA_PROB = 0.02
+# Violations a report lists, in trial order; later ones are dropped.
+MAX_RECORDED_VIOLATIONS = 100
 
 Sampler = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 Perturber = Callable[[np.ndarray, np.ndarray, np.ndarray, float],
@@ -182,12 +186,11 @@ def line_sampler(window: float = 1000.0) -> tuple[Sampler, Perturber]:
     return sample, perturb
 
 
-def diagram_point_sampler(max_persistence: float = 1e4,
-                          delta_prob: float = 0.02) -> tuple[Sampler, Perturber]:
+def diagram_point_sampler(max_persistence: float = 1e4) -> tuple[Sampler, Perturber]:
     """Sampler over single diagram points with persistence <= max_persistence.
 
     Points are (births, deaths) arrays with NaN columns for DELTA.  A
-    sample reads one double, and is DELTA with probability delta_prob, or
+    sample reads one double, and is DELTA with probability DELTA_PROB, or
     reads three and draws q = uniform(0, max_persistence), u = uniform(q,
     q + max_persistence).  The perturber reads two doubles to move a point
     in the (u, q) coordinates, or samples afresh in place of DELTA; drops
@@ -200,7 +203,7 @@ def diagram_point_sampler(max_persistence: float = 1e4,
     def sample(u: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q = 0.0 + (top - 0.0) * u[at + 1]
         mid = q + ((q + top) - q) * u[at + 2]
-        early = u[at] < delta_prob
+        early = u[at] < DELTA_PROB
         points = np.where(early | (q <= 0.0), np.nan, np.stack([mid - q, mid + q]))
         return points, np.where(early, 1, 3)
 
@@ -228,29 +231,27 @@ def _as_point(p: np.ndarray) -> Point | float:
     return DELTA if math.isnan(birth) else (birth, death)
 
 
-def verify_cover(sample: Sampler,
+def verify_cover(sampler: tuple[Sampler, Perturber],
                  classify: Callable[[np.ndarray, float], np.ndarray],
                  metric: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  R: float,
                  trials: int,
                  seed: int,
-                 uniform_bound: float,
-                 perturb: Optional[Perturber] = None,
-                 max_recorded_violations: int = 100) -> CoverReport:
+                 uniform_bound: float) -> CoverReport:
     """Sample point pairs and check the cover contract at scale R.
 
     Same-family pairs in different sets must be more than R apart;
     same-set pairs must lie within the claimed uniform bound.  Half of the
-    trials use local perturbations (when a perturber is given) so that
-    same-set pairs actually occur.
+    trials use local perturbations so that same-set pairs actually occur.
 
     The callables work on float arrays whose last axis runs over points
     (see ``line_sampler`` and ``diagram_point_sampler``):
 
-    - ``sample(u, at)`` returns the points drawn from the doubles of ``u``
-      starting at each offset in ``at``, and the count each one read;
-      ``perturb(u, at, x, scale)`` does the same for perturbations of the
-      points ``x`` within ``scale``.  Each reads at most three doubles.
+    - ``sampler`` is a ``(sample, perturb)`` pair.  ``sample(u, at)``
+      returns the points drawn from the doubles of ``u`` starting at each
+      offset in ``at``, and the count each one read; ``perturb(u, at, x,
+      scale)`` does the same for perturbations of the points ``x`` within
+      ``scale``.  Each reads at most three doubles.
     - ``classify(points, R)`` returns one label column per point: the
       family, then the set within the family (``interval_classify_array``,
       ``brick_classify_array``).
@@ -258,13 +259,14 @@ def verify_cover(sample: Sampler,
       (``abs(x - y)`` on the line, ``bottleneck_1pt_array``).
 
     Trials read the doubles of ``np.random.default_rng(seed)`` in order:
-    a sample, a coin (with a perturber), then a perturbation when the coin
-    is below 0.5 and a second sample otherwise.  Violations are listed in
-    trial order, with points as the scalar samplers made them: floats,
-    (birth, death) tuples and DELTA.
+    a sample, a coin, then a perturbation when the coin is below 0.5 and
+    a second sample otherwise.  The first MAX_RECORDED_VIOLATIONS
+    violations are listed in trial order, with points as the scalar
+    samplers made them: floats, (birth, death) tuples and DELTA.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    sample, perturb = sampler
     rng = np.random.default_rng(seed)
     scale = 3.0 * uniform_bound
     min_cross = math.inf
@@ -283,14 +285,11 @@ def verify_cover(sample: Sampler,
         count = u.size - _TRIAL_DRAWS + 1
         at, x = offsets[:count], table[..., :count]
         nxt = at + table_used[:count]
-        if perturb is not None:
-            coin = u[nxt] < 0.5
-            nxt += 1
-            moved, moved_used = perturb(u, nxt, x, scale)
-        y, used = np.take(table, nxt, axis=-1), table_used[nxt]
-        if perturb is not None:
-            y = np.where(coin, moved, y)
-            used = np.where(coin, moved_used, used)
+        coin = u[nxt] < 0.5
+        nxt += 1
+        moved, moved_used = perturb(u, nxt, x, scale)
+        y = np.where(coin, moved, np.take(table, nxt, axis=-1))
+        used = np.where(coin, moved_used, table_used[nxt])
         # The trial at offset s reads steps[s] doubles; steps are small
         # ints, which Python caches, so the list and the walk are cheap.
         steps = (nxt + used - at).tolist()
@@ -312,7 +311,7 @@ def verify_cover(sample: Sampler,
         max_diam = float(dist[same_set].max(initial=max_diam))
         min_cross = float(dist[~same_set].min(initial=min_cross))
         bad = np.where(same_set, dist > uniform_bound + 1e-9, dist <= R)
-        for k in np.flatnonzero(bad)[:max_recorded_violations - len(violations)]:
+        for k in np.flatnonzero(bad)[:MAX_RECORDED_VIOLATIONS - len(violations)]:
             kind = "diameter_exceeded" if same_set[k] else "sets_too_close"
             violations.append((kind, _as_point(x[..., k]), _as_point(y[..., k]),
                                float(dist[k])))

@@ -37,8 +37,9 @@ def is_delta(point: object) -> bool:
 def as_plane_point(raw) -> PlanePoint:
     """Coerce and validate a birth-death pair.
 
-    Raises InvalidPoint unless death > birth >= 0 and both coordinates are
-    finite.  Points with infinite death are rejected.
+    Raises InvalidPoint unless death > birth >= 0, both coordinates are
+    finite and the persistence (death - birth) / 2 does not round to zero.
+    Points with infinite death are rejected.
     """
     try:
         birth, death = float(raw[0]), float(raw[1])
@@ -48,6 +49,8 @@ def as_plane_point(raw) -> PlanePoint:
         raise InvalidPoint(f"non-finite coordinates: {raw!r}")
     if not death > birth >= 0.0:
         raise InvalidPoint(f"requires death > birth >= 0, got {raw!r}")
+    if (death - birth) / 2.0 == 0.0:
+        raise InvalidPoint(f"persistence rounds to zero: {raw!r}")
     return (birth, death)
 
 
@@ -84,10 +87,6 @@ class Diagram:
     def __post_init__(self) -> None:
         canon = tuple(sorted(as_plane_point(p) for p in self.points))
         object.__setattr__(self, "points", canon)
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
 
     def __len__(self) -> int:
         return len(self.points)

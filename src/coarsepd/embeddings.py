@@ -9,12 +9,12 @@ scale and spacing the blocks along the diagonal.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import config
 from .diagram import Diagram
 from .errors import (
     DegenerateDiameter,
@@ -28,6 +28,8 @@ from .errors import (
 from .metrics import distance_matrix
 
 _VALIDATE_UNION_MAX = 512
+# Slack for rounding in the metric axioms and in cross separations.
+_TOL = 1e-9
 _PAIR_KINDS = ("not_symmetric", "negative", "zero_off_diagonal")
 
 
@@ -55,11 +57,11 @@ class FiniteMetricSpace:
         return float(self.dist.max()) if self.n_points else 0.0
 
 
-def validate_metric(matrix, labels: Optional[Sequence[str]] = None,
-                    tol: float = 1e-9) -> FiniteMetricSpace:
+def validate_metric(matrix, labels: Optional[Sequence[str]] = None) -> FiniteMetricSpace:
     """Check all metric axioms, collecting every violation with a witness.
 
-    Raises MetricValidationError listing violations: non_finite, then
+    Entries pass within _TOL (1e-9) of an axiom.  Raises
+    MetricValidationError listing violations: non_finite, then
     nonzero_diagonal, then the per-pair kinds, then triangle by k; the
     error class gives the exact order and the witness tuples.
     """
@@ -72,17 +74,17 @@ def validate_metric(matrix, labels: Optional[Sequence[str]] = None,
     violations: list[tuple] = [
         ("non_finite", i, j) for i, j in np.argwhere(~np.isfinite(mat)).tolist()]
     violations += [("nonzero_diagonal", i)
-                   for i in np.flatnonzero(np.abs(np.diagonal(mat)) > tol).tolist()]
+                   for i in np.flatnonzero(np.abs(np.diagonal(mat)) > _TOL).tolist()]
     with np.errstate(invalid="ignore"):
-        pair = np.stack([np.abs(mat - mat.T) > tol, mat < -tol, np.abs(mat) <= tol],
+        pair = np.stack([np.abs(mat - mat.T) > _TOL, mat < -_TOL, np.abs(mat) <= _TOL],
                         axis=-1)
         pair &= ~np.tri(n, dtype=bool)[:, :, None]
         violations += [(_PAIR_KINDS[c], i, j) for i, j, c in np.argwhere(pair).tolist()]
         via, bad = np.empty_like(mat), np.empty(mat.shape, dtype=bool)
-        for k in range(n):  # via = (d(i,k) + d(k,j)) + tol, faster than broadcasting
+        for k in range(n):  # via = (d(i,k) + d(k,j)) + _TOL, faster than broadcasting
             np.copyto(via, mat[k])
             via += mat[:, k, None]
-            via += tol
+            via += _TOL
             np.greater(mat, via, out=bad)
             if bad.any():
                 violations += [("triangle", i, j, k) for i, j in np.argwhere(bad).tolist()
@@ -92,16 +94,12 @@ def validate_metric(matrix, labels: Optional[Sequence[str]] = None,
     return FiniteMetricSpace(tuple(labels), mat)
 
 
-def check_isometry(X: FiniteMetricSpace, diagrams: Sequence[Diagram],
-                   metric: str = "bottleneck", p: float = 2.0) -> float:
-    """Max absolute deviation between source and diagram distances.
-
-    metric is "bottleneck" or "wasserstein" (with exponent p).
-    """
+def check_isometry(X: FiniteMetricSpace, diagrams: Sequence[Diagram]) -> float:
+    """Max absolute deviation between source and diagram bottleneck distances."""
     if len(diagrams) != X.n_points:
         raise SizeMismatch(f"{len(diagrams)} diagrams for {X.n_points} points")
     iu = np.triu_indices(X.n_points, 1)
-    image = distance_matrix(diagrams, metric, p)
+    image = distance_matrix(diagrams)
     return float(np.abs(image[iu] - X.dist[iu]).max(initial=0.0))
 
 
@@ -169,18 +167,26 @@ def _cyclic_distance_matrix(k: int, m: int) -> tuple[list[str], np.ndarray]:
     return labels, dist
 
 
-def zkm_space(k: int, m: int, cap: Optional[int] = None) -> FiniteMetricSpace:
+def _check_cap(total: int, prefix: str = "") -> None:
+    """Raise TooLarge when total exceeds COARSE_PD_MAX_POINTS (default 4096)."""
+    raw = os.environ.get("COARSE_PD_MAX_POINTS", "4096")
+    cap = int(raw)
+    if cap < 1:
+        raise ValueError(f"COARSE_PD_MAX_POINTS must be a positive integer, got {raw!r}")
+    if total > cap:
+        raise TooLarge(f"{prefix}{total} points exceeds cap {cap}")
+
+
+def zkm_space(k: int, m: int) -> FiniteMetricSpace:
     """The m-fold product of the cyclic group Z_k with the max metric.
 
     Coordinates carry the cyclic word metric min(|i-j|, k-|i-j|); the
-    product distance is the max over coordinates.
+    product distance is the max over coordinates.  Raises TooLarge above
+    the COARSE_PD_MAX_POINTS cap.
     """
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
-    cap = config.max_points() if cap is None else cap
-    total = k ** m
-    if total > cap:
-        raise TooLarge(f"{k}^{m} = {total} points exceeds cap {cap}")
+    _check_cap(k ** m, f"{k}^{m} = ")
     labels, dist = _cyclic_distance_matrix(k, m)
     return FiniteMetricSpace(tuple(labels), dist)
 
@@ -237,21 +243,19 @@ def coarse_disjoint_union(blocks: Sequence[FiniteMetricSpace],
     return BlockedSpace(space, tuple(blocks), block_of, params, block_meta)
 
 
-def dranishnikov_S(max_n: int, max_m: int, cap: Optional[int] = None) -> BlockedSpace:
+def dranishnikov_S(max_n: int, max_m: int) -> BlockedSpace:
     """Truncation of the disjoint union of the spaces (Z_n)^m.
 
     Blocks are (Z_n)^m for 1 <= n <= max_n, 1 <= m <= max_m under the
     separation rule s = m + n + 1, so cross distances strictly exceed
-    m + n + m' + n'.  block_meta records (n, m) per block.
+    m + n + m' + n'.  block_meta records (n, m) per block.  Raises
+    TooLarge above the COARSE_PD_MAX_POINTS cap.
     """
     if max_n < 1 or max_m < 1:
         raise ValueError("max_n and max_m must be >= 1")
-    cap = config.max_points() if cap is None else cap
     dims = [(n, m) for n in range(1, max_n + 1) for m in range(1, max_m + 1)]
-    total = sum(n ** m for n, m in dims)
-    if total > cap:
-        raise TooLarge(f"{total} points exceeds cap {cap}")
-    blocks = [zkm_space(n, m, cap=cap) for n, m in dims]
+    _check_cap(sum(n ** m for n, m in dims))
+    blocks = [zkm_space(n, m) for n, m in dims]
     seps = [float(m + n + 1) for n, m in dims]
     return coarse_disjoint_union(blocks, seps, block_meta=tuple(dims))
 
@@ -273,12 +277,10 @@ class UnionEmbedding:
     diagrams: tuple[Diagram, ...]
     intra_max_deviation: float
     cross: tuple[CrossSeparation, ...]
-    scales: tuple[float, ...]
-    offsets: tuple[float, ...]
 
     @property
     def cross_ok(self) -> bool:
-        return all(c.realized_min >= c.required - 1e-9 for c in self.cross)
+        return all(c.realized_min >= c.required - _TOL for c in self.cross)
 
 
 def embed_coarse_union(U: BlockedSpace) -> UnionEmbedding:
@@ -298,18 +300,14 @@ def embed_coarse_union(U: BlockedSpace) -> UnionEmbedding:
     if len(blocks) == 1:
         diags = embed_finite_metric(blocks[0])
         dev = check_isometry(blocks[0], diags)
-        return UnionEmbedding(tuple(diags), dev, (), (max(params[0][0], 0.0),), (0.0,))
+        return UnionEmbedding(tuple(diags), dev, ())
     required = {(i, j): params[i][1] + params[j][1]
                 for i, j in itertools.combinations(range(len(blocks)), 2)}
     big_c = max(required.values())
-    scales: list[float] = []
-    offsets: list[float] = []
     diagrams: list[Diagram] = []
     off = 0.0
     for b, (diam, _) in zip(blocks, params):
         rho = max(diam, big_c)
-        scales.append(rho)
-        offsets.append(off)
         if b.n_points == 1:
             shifted = [Diagram(((off + 3.0 * rho, off + 6.0 * rho),))]
         else:
@@ -327,4 +325,4 @@ def embed_coarse_union(U: BlockedSpace) -> UnionEmbedding:
         CrossSeparation(i, j, req, float(image[np.ix_(owner == i, owner == j)].min()))
         for (i, j), req in required.items()
     )
-    return UnionEmbedding(tuple(diagrams), intra, cross, tuple(scales), tuple(offsets))
+    return UnionEmbedding(tuple(diagrams), intra, cross)

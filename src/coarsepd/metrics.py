@@ -34,6 +34,7 @@ from .diagram import Diagram, Point, augment, delta, is_delta, persistence
 from .errors import InvalidExponent, OversizeForOracle
 
 ORACLE_MAX_WIDTH = 10
+_TOL = 1e-9  # rounding slack of check_coarse_equiv_bounds
 
 
 @dataclass(frozen=True)
@@ -123,18 +124,20 @@ def bottleneck_distance(z: Diagram, w: Diagram) -> float:
     return _bottleneck_value(cost) if cost.size else 0.0
 
 
+def _oracle_cost(z: Diagram, w: Diagram) -> np.ndarray:
+    """``cost_matrix`` of the ``augment``-ed pair, up to width ORACLE_MAX_WIDTH."""
+    pair = augment(z, w)
+    if pair.width > ORACLE_MAX_WIDTH:
+        raise OversizeForOracle(f"augmented width {pair.width} > {ORACLE_MAX_WIDTH}")
+    return cost_matrix(pair.left, pair.right)
+
+
 def bottleneck_bruteforce(z: Diagram, w: Diagram) -> tuple[float, Matching]:
     """Bottleneck distance by exhaustive minimization over permutations.
 
     Defined only up to augmented width 10 (factorial blow-up guard).
     """
-    pair = augment(z, w)
-    if pair.width > ORACLE_MAX_WIDTH:
-        raise OversizeForOracle(f"augmented width {pair.width} > {ORACLE_MAX_WIDTH}")
-    if pair.width == 0:
-        return 0.0, Matching((), 0.0)
-    cost = cost_matrix(pair.left, pair.right)
-    value, phi = min_assignment_max(cost)
+    value, phi = min_assignment_max(_oracle_cost(z, w))
     return value, Matching(phi, value)
 
 
@@ -241,15 +244,10 @@ def wasserstein_bruteforce(z: Diagram, w: Diagram, p: float) -> tuple[float, Mat
     if w.points < z.points:
         value, m = wasserstein_bruteforce(w, z, p)
         return value, Matching(_invert_pairing(m.pairing), m.cost, p)
-    pair = augment(z, w)
-    if pair.width > ORACLE_MAX_WIDTH:
-        raise OversizeForOracle(f"augmented width {pair.width} > {ORACLE_MAX_WIDTH}")
-    if pair.width == 0:
+    cost = _oracle_cost(z, w)
+    top = float(cost.max(initial=0.0))
+    if top == 0.0:  # both diagrams empty: every point has positive persistence
         return 0.0, Matching((), 0.0, p)
-    cost = cost_matrix(pair.left, pair.right)
-    top = float(cost.max())
-    if top == 0.0:
-        return 0.0, Matching(tuple(range(pair.width)), 0.0, p)
     optimum, phi = min_assignment_sum((cost / top) ** p)
     value = top * optimum ** (1.0 / p)
     return value, Matching(phi, value, p)
@@ -277,14 +275,14 @@ def bottleneck_1pt_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(a_delta, pb, np.where(b_delta, pa, direct))
 
 
-def check_coarse_equiv_bounds(z: Diagram, w: Diagram, p: float, tol: float = 1e-9) -> bool:
-    """Sandwich bound d_B <= d_{W,p} <= (2 max(n,m))^(1/p) d_B, within tol."""
+def check_coarse_equiv_bounds(z: Diagram, w: Diagram, p: float) -> bool:
+    """Sandwich bound d_B <= d_{W,p} <= (2 max(n,m))^(1/p) d_B, within _TOL."""
     p = _check_exponent(p)
     d_b = bottleneck_distance(z, w)
     d_w = wasserstein_distance(z, w, p)
     width = 2 * max(len(z), len(w))
     factor = width ** (1.0 / p) if width else 0.0
-    return d_b <= d_w + tol and d_w <= factor * d_b + tol
+    return d_b <= d_w + _TOL and d_w <= factor * d_b + _TOL
 
 
 def distance_matrix(diagrams: Sequence[Diagram], metric: str = "bottleneck",

@@ -155,21 +155,17 @@ def test_criterion_5_cube_isometry(n, R):
 
 def test_criterion_6_cover_witnesses():
     for R in (1.0, 10.0, 100.0):
-        sample, perturb = diagram_point_sampler(max_persistence=1e4 * R)
-        report = verify_cover(sample, brick_classify_array, bottleneck_1pt_array,
-                              R, 10000, 7, 6.0 * R, perturb=perturb)
+        report = verify_cover(diagram_point_sampler(max_persistence=1e4 * R),
+                              brick_classify_array, bottleneck_1pt_array,
+                              R, 10000, 7, 6.0 * R)
         assert report.ok, f"brick cover violations at R={R}: {report.violations[:3]}"
         assert report.min_same_family_cross_set_distance > R
     for R in (1.0, 5.0):
-        sample, perturb = line_sampler(window=1000.0 * R)
-        report = verify_cover(sample, interval_classify_array,
-                              lambda a, b: abs(a - b), R, 10000, 3, 2.0 * R,
-                              perturb=perturb)
+        report = verify_cover(line_sampler(window=1000.0 * R), interval_classify_array,
+                              lambda a, b: abs(a - b), R, 10000, 3, 2.0 * R)
         assert report.ok
-    sample, perturb = line_sampler(window=100.0)
-    broken = verify_cover(sample, broken_interval_classify_array,
-                          lambda a, b: abs(a - b), 1.0, 10000, 11, 2.0,
-                          perturb=perturb)
+    broken = verify_cover(line_sampler(window=100.0), broken_interval_classify_array,
+                          lambda a, b: abs(a - b), 1.0, 10000, 11, 2.0)
     assert len(broken.violations) >= 1
     print("\nACCEPTANCE 6: PASS - brick cover clean at R in {1,10,100}, "
           "interval cover clean at R in {1,5}, negative control flagged")

@@ -117,6 +117,18 @@ class TestDist:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("metric", [["--bottleneck"], ["--wasserstein", "2"]])
+    def test_zero_persistence_point_exit1(self, tmp_path, capsys, metric):
+        # (5e-324 - 0) / 2 rounds to 0.0, which would put the diagram at
+        # distance 0 from the empty one.
+        write_diagram(tmp_path / "a.json", [[0, 5e-324]])
+        write_diagram(tmp_path / "b.json", [])
+        code = main(["dist", str(tmp_path / "a.json"), str(tmp_path / "b.json"), *metric])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "persistence" in captured.err
+
     def test_oracle_oversize_exit2(self, tmp_path, capsys):
         write_diagram(tmp_path / "a.json", [[i, i + 1] for i in range(6)])
         write_diagram(tmp_path / "b.json", [[0, 1]])
@@ -244,6 +256,15 @@ class TestGen:
         code = main(["gen", "--zkm", "10", "2", "--out", str(tmp_path)])
         capsys.readouterr()
         assert code == 5
+
+    @pytest.mark.parametrize("cap", ["0", "-3", "abc"])
+    def test_invalid_cap_exit1(self, tmp_path, capsys, monkeypatch, cap):
+        monkeypatch.setenv("COARSE_PD_MAX_POINTS", cap)
+        code = main(["gen", "--zkm", "2", "2", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 class TestProfile:

@@ -23,7 +23,7 @@ from coarsepd import (
     lower_bound_demo,
     verify_cover,
 )
-from coarsepd.cover import _BLOCK_TRIALS
+from coarsepd.cover import _BLOCK_TRIALS, DELTA_PROB, MAX_RECORDED_VIOLATIONS
 
 
 def as_columns(points):
@@ -45,9 +45,9 @@ def scalar_line_sampler(window):
     return sample, perturb
 
 
-def scalar_point_sampler(top, delta_prob):
+def scalar_point_sampler(top):
     def sample(rng):
-        if rng.random() < delta_prob:
+        if rng.random() < DELTA_PROB:
             return DELTA
         q = float(rng.uniform(0.0, top))
         u = float(rng.uniform(q, q + top))
@@ -69,12 +69,13 @@ def scalar_point_sampler(top, delta_prob):
     return sample, perturb
 
 
-def reference_report(sample, perturb, classify, metric, R, trials, seed, bound, cap):
+def reference_report(sample, perturb, classify, metric, R, trials, seed, bound,
+                     cap=MAX_RECORDED_VIOLATIONS):
     rng = np.random.default_rng(seed)
     min_cross, max_diam, violations = math.inf, 0.0, []
     for _ in range(trials):
         x = sample(rng)
-        if perturb is not None and rng.random() < 0.5:
+        if rng.random() < 0.5:
             y = perturb(rng, x, 3.0 * bound)
         else:
             y = sample(rng)
@@ -97,15 +98,15 @@ def line_metric(a, b):
     return abs(a - b)
 
 
-# (space, R, sampling half-width or top persistence, claimed bound, delta_prob)
+# (space, R, sampling half-width or top persistence, claimed bound)
 STREAM_CASES = [
-    ("d1", 1.0, 1e4, 6.0, 0.02),
-    ("d1", 0.37, 370.0, 2.22, 0.02),
-    ("d1", 123.456, 0.123456, 740.736, 0.02),
-    ("d1", 1.0, 30.0, 1.0, 0.3),        # bound below the brick diameters
-    ("line", 5.0, 5000.0, 10.0, None),
-    ("line", 1e-3, 1e-3, 2e-3, None),
-    ("broken", 1.0, 100.0, 0.5, None),  # adjacent sets share a family
+    ("d1", 1.0, 1e4, 6.0),
+    ("d1", 0.37, 370.0, 2.22),
+    ("d1", 123.456, 0.123456, 740.736),
+    ("d1", 1.0, 30.0, 1.0),        # bound below the brick diameters
+    ("line", 5.0, 5000.0, 10.0),
+    ("line", 1e-3, 1e-3, 2e-3),
+    ("broken", 1.0, 100.0, 0.5),  # adjacent sets share a family
 ]
 
 
@@ -127,45 +128,38 @@ class TestStreamEquivalence:
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("case", STREAM_CASES, ids=lambda c: f"{c[0]}-R{c[1]}-b{c[3]}")
     def test_report_equals_per_trial_loop(self, case, seed, trials):
-        space, R, extent, bound, delta_prob = case
+        space, R, extent, bound = case
         if space == "d1":
-            sample, perturb = diagram_point_sampler(extent, delta_prob)
-            ref_sample, ref_perturb = scalar_point_sampler(extent, delta_prob)
+            sampler = diagram_point_sampler(extent)
+            ref_sample, ref_perturb = scalar_point_sampler(extent)
             classify, ref_classify = brick_classify_array, brick_classify
             metric, ref_metric = bottleneck_1pt_array, bottleneck_1pt
         else:
-            sample, perturb = line_sampler(extent)
+            sampler = line_sampler(extent)
             ref_sample, ref_perturb = scalar_line_sampler(extent)
             classify, ref_classify = ((interval_classify_array, interval_classify)
                                       if space == "line" else
                                       (broken_interval_classify_array,
                                        broken_interval_classify))
             metric = ref_metric = line_metric
-        for with_perturb in (False, True):
-            report = verify_cover(sample, classify, metric, R, trials, seed, bound,
-                                  perturb=perturb if with_perturb else None)
-            expected = reference_report(ref_sample, ref_perturb if with_perturb else None,
-                                        ref_classify, ref_metric, R, trials, seed, bound,
-                                        100)
-            assert repr(report) == repr(expected)
+        report = verify_cover(sampler, classify, metric, R, trials, seed, bound)
+        expected = reference_report(ref_sample, ref_perturb, ref_classify, ref_metric,
+                                    R, trials, seed, bound)
+        assert repr(report) == repr(expected)
         if space == "broken" and trials > 100:
             assert len(report.violations) == 100
 
     def test_violation_cap(self):
-        sample, perturb = line_sampler(100.0)
         ref_sample, ref_perturb = scalar_line_sampler(100.0)
         trials = 2 * _BLOCK_TRIALS + 5
         expected = reference_report(ref_sample, ref_perturb, broken_interval_classify,
                                     line_metric, 1.0, trials, 5, 2.0, None)
         full = expected.violations
-        assert len(full) > 100
-        for cap in (0, 1, 100, 10**6):
-            report = verify_cover(sample, broken_interval_classify_array, line_metric,
-                                  1.0, trials, 5, 2.0, perturb=perturb,
-                                  max_recorded_violations=cap)
-            expected.violations = full[:cap]
-            assert repr(report) == repr(expected)
-
+        assert len(full) > MAX_RECORDED_VIOLATIONS == 100
+        report = verify_cover(line_sampler(100.0), broken_interval_classify_array,
+                              line_metric, 1.0, trials, 5, 2.0)
+        expected.violations = full[:100]
+        assert repr(report) == repr(expected)
 
     def test_block_memory_is_bounded(self):
         # Unread doubles carry into the next block; the blocks must not grow.
@@ -176,8 +170,8 @@ class TestStreamEquivalence:
             sizes.append(u.size)
             return sample(u, at)
 
-        verify_cover(recording_sample, brick_classify_array, bottleneck_1pt_array,
-                     1.0, 6 * _BLOCK_TRIALS, 0, 6.0, perturb=perturb)
+        verify_cover((recording_sample, perturb), brick_classify_array,
+                     bottleneck_1pt_array, 1.0, 6 * _BLOCK_TRIALS, 0, 6.0)
         assert sizes == [7 * _BLOCK_TRIALS] * 6
 
 
@@ -309,33 +303,27 @@ class TestBrickClassify:
 
 class TestVerifyCover:
     def test_brick_cover_no_violations(self):
-        sample, perturb = diagram_point_sampler(1e4)
-        report = verify_cover(sample, brick_classify_array, bottleneck_1pt_array,
-                              1.0, 10000, 7, 6.0, perturb=perturb)
+        report = verify_cover(diagram_point_sampler(1e4), brick_classify_array,
+                              bottleneck_1pt_array, 1.0, 10000, 7, 6.0)
         assert report.ok
         assert report.min_same_family_cross_set_distance > 1.0
         assert report.max_set_diameter_observed <= 6.0
 
     def test_interval_cover_no_violations(self):
-        sample, perturb = line_sampler(5000.0)
-        report = verify_cover(sample, interval_classify_array,
-                              lambda a, b: abs(a - b), 5.0, 10000, 3, 10.0,
-                              perturb=perturb)
+        report = verify_cover(line_sampler(5000.0), interval_classify_array,
+                              lambda a, b: abs(a - b), 5.0, 10000, 3, 10.0)
         assert report.ok
         assert report.uniform_bound_claimed == 10.0
 
     def test_broken_labeling_detected(self):
-        sample, perturb = line_sampler(100.0)
-        report = verify_cover(sample, broken_interval_classify_array,
-                              lambda a, b: abs(a - b), 1.0, 10000, 11, 2.0,
-                              perturb=perturb)
+        report = verify_cover(line_sampler(100.0), broken_interval_classify_array,
+                              lambda a, b: abs(a - b), 1.0, 10000, 11, 2.0)
         assert len(report.violations) >= 1
         assert not report.ok
 
     def test_trials_must_be_positive(self):
-        sample, _ = line_sampler()
         with pytest.raises(ValueError):
-            verify_cover(sample, interval_classify_array, lambda a, b: abs(a - b),
+            verify_cover(line_sampler(), interval_classify_array, lambda a, b: abs(a - b),
                          1.0, 0, 0, 2.0)
 
 

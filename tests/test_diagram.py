@@ -88,7 +88,7 @@ class TestCanonicalize:
         assert dgm.points == ((0.0, 3.0), (1.0, 2.0))
 
     def test_only_deltas_is_empty(self):
-        assert canonicalize([DELTA, DELTA]).size == 0
+        assert len(canonicalize([DELTA, DELTA])) == 0
 
     def test_multiset_preserved(self):
         dgm = canonicalize([(0.0, 3.0), (0.0, 3.0)])

@@ -202,9 +202,10 @@ class TestZkm:
     def test_z2_cubed_diameter(self):
         assert zkm_space(2, 3).diameter == 1.0
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("COARSE_PD_MAX_POINTS", "4096")
         with pytest.raises(TooLarge):
-            zkm_space(10, 5, cap=4096)
+            zkm_space(10, 5)
 
     def test_is_metric(self):
         Z = zkm_space(5, 2)
@@ -271,9 +272,10 @@ class TestDranishnikov:
         assert len(U.blocks) == 6
         assert U.space.n_points == 20
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("COARSE_PD_MAX_POINTS", "1000")
         with pytest.raises(TooLarge):
-            dranishnikov_S(10, 4, cap=1000)
+            dranishnikov_S(10, 4)
 
 
 class TestEmbedCoarseUnion:

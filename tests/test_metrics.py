@@ -12,6 +12,7 @@ from coarsepd import (
     DELTA,
     Diagram,
     InvalidExponent,
+    InvalidPoint,
     OversizeForOracle,
     augment,
     bottleneck,
@@ -91,14 +92,17 @@ class TestWasserstein:
         for p in (1, 2, 7.5):
             assert wasserstein(Diagram(), Diagram(), p)[0] == 0.0
 
-    def test_persistence_underflows_to_zero(self):
-        # (5e-324 - 0) / 2 rounds to 0.0, so every cost is 0 and the oracle
-        # must not rescale by its zero maximum.
-        z = d((0.0, 5e-324))
+    def test_persistence_underflow_rejected(self):
+        # (5e-324 - 0) / 2 rounds to 0.0, which would put the point at
+        # distance 0 from the empty diagram.
+        with pytest.raises(InvalidPoint):
+            d((0.0, 5e-324))
+        # (1e-323 - 0) / 2 is the smallest positive double.
+        z = d((0.0, 1e-323))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert wasserstein_bruteforce(z, Diagram(), 2) == wasserstein(z, Diagram(), 2)
-            assert wasserstein_bruteforce(z, Diagram(), 2)[0] == 0.0
+            assert wasserstein(z, Diagram(), 2)[0] == 5e-324
 
     def test_invalid_exponent(self):
         with pytest.raises(InvalidExponent):

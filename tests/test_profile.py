@@ -132,8 +132,3 @@ class TestCheckIsometry:
         with pytest.raises(SizeMismatch):
             check_isometry(X, [Diagram()])
 
-    def test_wasserstein_variant(self, rng):
-        X = random_connected_metric(rng, 4)
-        diagrams = embed_finite_metric(X)
-        dev = check_isometry(X, diagrams, metric="wasserstein", p=2)
-        assert dev >= 0.0
