@@ -92,7 +92,7 @@ class TestWasserstein:
         for p in (1, 2, 7.5):
             assert wasserstein(Diagram(), Diagram(), p)[0] == 0.0
 
-    def test_persistence_underflow_rejected(self):
+    def test_persistence_underflows_to_zero(self):
         # (5e-324 - 0) / 2 rounds to 0.0, which would put the point at
         # distance 0 from the empty diagram.
         with pytest.raises(InvalidPoint):
