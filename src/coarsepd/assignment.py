@@ -1,6 +1,6 @@
 """Bipartite matching and exhaustive assignment search primitives.
 
-scipy's Hopcroft-Karp maximum-cardinality matching decides whether a
+scipy's ``linear_sum_assignment`` on the 0/1 cost ``~ok`` decides whether a
 boolean edge matrix has a perfect matching and seeds the lex-min recovery,
 which improves that matching one row at a time along alternating paths.
 The subset dynamic programs are exact minima over all permutations and
@@ -14,24 +14,17 @@ import math
 import numpy as np
 
 
-def _max_matching(ok: np.ndarray) -> np.ndarray:
-    """Column of each row in a maximum matching of ok, -1 for an unmatched row."""
+def _assignment(ok: np.ndarray) -> np.ndarray:
+    """Column of each row in an assignment of ok that uses the most edges."""
     # Imported here so that commands which never match do not load scipy.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_bipartite_matching
+    from scipy.optimize import linear_sum_assignment
 
-    # Built from index arrays: on small graphs scipy's dense-to-sparse
-    # conversion costs more than the matching itself.
-    indptr = np.zeros(ok.shape[0] + 1, dtype=np.int32)
-    np.cumsum(ok.sum(axis=1), out=indptr[1:])
-    indices = np.nonzero(ok)[1].astype(np.int32)
-    graph = csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=ok.shape)
-    return maximum_bipartite_matching(graph, perm_type="column")
+    return linear_sum_assignment(~ok)[1]  # cost 0 on an edge, 1 off it
 
 
 def has_perfect_matching(ok: np.ndarray) -> bool:
     """Whether the boolean edge matrix admits a perfect matching."""
-    return bool((_max_matching(ok) >= 0).all())
+    return bool(ok[np.arange(len(ok)), _assignment(ok)].all())
 
 
 def _bit_rows(ok: np.ndarray) -> list[int]:
@@ -53,8 +46,8 @@ def lex_min_perfect_matching(ok: np.ndarray) -> tuple[int, ...]:
     perfect matching.
     """
     n = ok.shape[0]
-    col = _max_matching(ok).tolist()
-    if -1 in col:
+    col = _assignment(ok).tolist()
+    if not ok[range(n), col].all():
         raise RuntimeError("no perfect matching")
     row = [0] * n
     for r, c in enumerate(col):

@@ -37,13 +37,13 @@ def is_delta(point: object) -> bool:
 def as_plane_point(raw) -> PlanePoint:
     """Coerce and validate a birth-death pair.
 
-    Raises InvalidPoint unless death > birth >= 0, both coordinates are
-    finite and the persistence (death - birth) / 2 does not round to zero.
-    Points with infinite death are rejected.
+    Raises InvalidPoint unless raw is exactly two numbers, death > birth >= 0,
+    both are finite and the persistence (death - birth) / 2 does not round
+    to zero.  Points with infinite death are rejected.
     """
     try:
-        birth, death = float(raw[0]), float(raw[1])
-    except (TypeError, ValueError, IndexError) as exc:
+        birth, death = map(float, raw)
+    except (TypeError, ValueError) as exc:
         raise InvalidPoint(f"not a birth-death pair: {raw!r}") from exc
     if not (math.isfinite(birth) and math.isfinite(death)):
         raise InvalidPoint(f"non-finite coordinates: {raw!r}")

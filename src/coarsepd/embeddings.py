@@ -170,7 +170,10 @@ def _cyclic_distance_matrix(k: int, m: int) -> tuple[list[str], np.ndarray]:
 def _check_cap(total: int, prefix: str = "") -> None:
     """Raise TooLarge when total exceeds COARSE_PD_MAX_POINTS (default 4096)."""
     raw = os.environ.get("COARSE_PD_MAX_POINTS", "4096")
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
         raise ValueError(f"COARSE_PD_MAX_POINTS must be a positive integer, got {raw!r}")
     if total > cap:

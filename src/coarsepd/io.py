@@ -21,7 +21,9 @@ def load_diagram(path) -> Diagram:
         data = json.load(fh)
     if not isinstance(data, dict) or "points" not in data:
         raise ValueError(f"{path}: expected a JSON object with a 'points' key")
-    return canonicalize(tuple(p) for p in data["points"])
+    if not isinstance(data["points"], list):
+        raise ValueError(f"{path}: 'points' must be a list of [birth, death] pairs")
+    return canonicalize(tuple(p) if isinstance(p, list) else p for p in data["points"])
 
 
 def save_diagram(diagram: Diagram, path) -> None:

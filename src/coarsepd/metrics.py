@@ -4,8 +4,9 @@ Both distances are minima over matchings of the two diagrams padded with
 the diagonal point to width 2 * max(n, m): the bottleneck aggregates
 per-pair costs with max, the p-Wasserstein with an l_p sum.  The
 bottleneck value comes from a threshold search over the discrete set of
-pairwise costs with a maximum-matching feasibility test; the p-Wasserstein
-value reduces to an optimal assignment on the cost-power matrix.
+pairwise costs with a perfect-matching feasibility test; the p-Wasserstein
+value reduces to an optimal assignment on the cost-power matrix.  Both run
+on scipy's ``linear_sum_assignment``, the package's one matching solver.
 ``bottleneck`` and ``wasserstein`` also return the lex-min optimal matching
 at every width; ``bottleneck_distance``, ``wasserstein_distance`` and
 ``distance_matrix`` return the same values without one.  The solvers build

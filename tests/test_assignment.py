@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from coarsepd.assignment import (
@@ -68,6 +69,8 @@ class TestMatchingHelpers:
     def test_perfect_matching_detection(self):
         ok = np.array([[True, False], [True, False]])
         assert not has_perfect_matching(ok)
+        with pytest.raises(RuntimeError):
+            lex_min_perfect_matching(ok)
         ok[1, 1] = True
         assert has_perfect_matching(ok)
 

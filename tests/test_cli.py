@@ -129,6 +129,16 @@ class TestDist:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "persistence" in captured.err
 
+    @pytest.mark.parametrize("points", [[3], 5, None, [None], [[1, 2, 3]]])
+    def test_malformed_points_exit1(self, tmp_path, capsys, points):
+        write_diagram(tmp_path / "a.json", points)
+        write_diagram(tmp_path / "b.json", [[3, 6]])
+        code = main(["dist", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--bottleneck"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_oracle_oversize_exit2(self, tmp_path, capsys):
         write_diagram(tmp_path / "a.json", [[i, i + 1] for i in range(6)])
         write_diagram(tmp_path / "b.json", [[0, 1]])
@@ -264,7 +274,7 @@ class TestGen:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith("error:") and "COARSE_PD_MAX_POINTS" in captured.err
 
 
 class TestProfile:

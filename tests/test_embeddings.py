@@ -273,9 +273,11 @@ class TestDranishnikov:
         assert U.space.n_points == 20
 
     def test_cap(self, monkeypatch):
+        # 1,274 points: below the default cap, so only a cap read from the
+        # environment rejects them.
         monkeypatch.setenv("COARSE_PD_MAX_POINTS", "1000")
         with pytest.raises(TooLarge):
-            dranishnikov_S(10, 4)
+            dranishnikov_S(5, 4)
 
 
 class TestEmbedCoarseUnion:

@@ -1,5 +1,6 @@
 """Bottleneck and Wasserstein solvers against the permutation oracle."""
 
+import bisect
 import math
 import warnings
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from coarsepd import (
     DELTA,
@@ -353,3 +356,40 @@ class TestValueOnly:
             distance_matrix([d((0, 2))], "sliced")
         with pytest.raises(InvalidExponent):
             distance_matrix([d((0, 2)), d((1, 3))], "wasserstein", math.inf)
+
+
+def n_plus_m_bottleneck(z, w):
+    """d_B by a threshold search at width n + m, on Hopcroft-Karp.
+
+    Rows are z's points then one diagonal slot per point of w; columns are
+    w's points then one diagonal slot per point of z.  Each point is joined
+    only to its own diagonal slot, and diagonal slots to each other for
+    free, so neither the layout nor the solver is the one ``metrics`` uses.
+    """
+    a, b = np.array(z.points).reshape(-1, 2), np.array(w.points).reshape(-1, 2)
+    n, m = len(a), len(b)
+    sup = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    pers_z, pers_w = (a[:, 1] - a[:, 0]) / 2, (b[:, 1] - b[:, 0]) / 2
+
+    def feasible(t):
+        graph = np.zeros((n + m, m + n), dtype=bool)
+        graph[:n, :m] = sup <= t
+        graph[np.arange(n), m + np.arange(n)] = pers_z <= t
+        graph[n + np.arange(m), np.arange(m)] = pers_w <= t
+        graph[n:, m:] = True
+        return bool((maximum_bipartite_matching(csr_matrix(graph), perm_type="column") >= 0).all())
+
+    candidates = np.unique(np.concatenate([sup.ravel(), pers_z, pers_w]))
+    return float(candidates[bisect.bisect_left(candidates, True, key=feasible)])
+
+
+def test_512_point_pair():
+    # Width 1024, on a pair for which Hopcroft-Karp on the 2 * max(n, m)
+    # threshold graph took about 100 s (2-vCPU VM).
+    rng = np.random.default_rng(2)
+    z, w = random_diagram(rng, size=512), random_diagram(rng, size=512)
+    value, matching = bottleneck(z, w)
+    assert bottleneck_distance(z, w) == value
+    assert sorted(matching.pairing) == list(range(1024))
+    assert _cost(z, w)[np.arange(1024), matching.pairing].max() == value
+    assert n_plus_m_bottleneck(z, w) == value
