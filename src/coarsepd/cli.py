@@ -170,6 +170,8 @@ def _cmd_gen(args) -> int:
         return EXIT_OK
     if args.cube is not None:
         n, radius, samples = int(args.cube[0]), float(args.cube[1]), int(args.cube[2])
+        if not math.isfinite(radius):
+            raise ValueError(f"R must be finite, got {radius}")
         rng = np.random.default_rng(args.seed)
         points = rng.uniform(0.0, radius, size=(samples, n))
         diagrams = [embed_cube_point(x, radius) for x in points]

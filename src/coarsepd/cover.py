@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable
 
 import numpy as np
 
 from .diagram import DELTA, Point, is_delta
-from .errors import TooLarge
-from .metrics import bottleneck_distance, wasserstein_distance
-from .embeddings import embed_cube_point
 
 
 @dataclass(frozen=True)
@@ -323,44 +320,3 @@ def verify_cover(sampler: tuple[Sampler, Perturber],
         uniform_bound_claimed=uniform_bound,
         violations=violations,
     )
-
-
-@dataclass(frozen=True)
-class CubeDemoReport:
-    """Distance preservation statistics for sampled cube embeddings."""
-
-    n: int
-    R: float
-    samples: int
-    p: Optional[float]
-    max_deviation: float
-
-
-def lower_bound_demo(n: int, R: float, samples: int,
-                     p: Optional[float] = None, seed: int = 0) -> CubeDemoReport:
-    """Certify the cube-embedding hypothesis behind the lower bound.
-
-    Samples point pairs in [0, R]^n, embeds them, and reports the largest
-    deviation between diagram distance and the cube distance (sup metric
-    for p=None, l_p otherwise).  Restricted to n <= 3 to keep the exact
-    solvers comfortable.
-    """
-    if n < 1 or n > 3:
-        raise TooLarge("lower_bound_demo supports 1 <= n <= 3")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.uniform(0.0, R, size=n)
-        y = rng.uniform(0.0, R, size=n)
-        dx = embed_cube_point(x, R)
-        dy = embed_cube_point(y, R)
-        if p is None:
-            value = bottleneck_distance(dx, dy)
-            ref = float(np.max(np.abs(x - y)))
-        else:
-            value = wasserstein_distance(dx, dy, p)
-            ref = float(np.sum(np.abs(x - y) ** p) ** (1.0 / p))
-        worst = max(worst, abs(value - ref))
-    return CubeDemoReport(n=n, R=float(R), samples=samples, p=p, max_deviation=worst)

@@ -9,6 +9,7 @@ the distance to the diagonal as half the persistence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -34,15 +35,23 @@ def is_delta(point: object) -> bool:
     return isinstance(point, _Diagonal)
 
 
+def _coordinate(value) -> float:
+    """A real number as a float; bools, strings and other types are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"not a real number: {value!r}")
+    return float(value)
+
+
 def as_plane_point(raw) -> PlanePoint:
     """Coerce and validate a birth-death pair.
 
-    Raises InvalidPoint unless raw is exactly two numbers, death > birth >= 0,
-    both are finite and the persistence (death - birth) / 2 does not round
-    to zero.  Points with infinite death are rejected.
+    Raises InvalidPoint unless raw is exactly two real numbers (not bools),
+    death > birth >= 0, both are finite and the persistence
+    (death - birth) / 2 does not round to zero.  Points with infinite death
+    are rejected.
     """
     try:
-        birth, death = map(float, raw)
+        birth, death = map(_coordinate, raw)
     except (TypeError, ValueError) as exc:
         raise InvalidPoint(f"not a birth-death pair: {raw!r}") from exc
     if not (math.isfinite(birth) and math.isfinite(death)):

@@ -40,15 +40,12 @@ _TOL = 1e-9  # rounding slack of check_coarse_equiv_bounds
 
 @dataclass(frozen=True)
 class Matching:
-    """A permutation of augmented indices together with its cost.
+    """A permutation of augmented indices.
 
-    ``pairing[i] = j`` matches left index i to right index j.  ``p`` is the
-    Wasserstein exponent, or None for max (bottleneck) aggregation.
+    ``pairing[i] = j`` matches left index i to right index j.
     """
 
     pairing: tuple[int, ...]
-    cost: float
-    p: Optional[float] = None
 
     def __post_init__(self) -> None:
         if sorted(self.pairing) != list(range(len(self.pairing))):
@@ -113,10 +110,10 @@ def bottleneck(z: Diagram, w: Diagram) -> tuple[float, Matching]:
     """
     cost = _cost(z, w)
     if cost.size == 0:
-        return 0.0, Matching((), 0.0)
+        return 0.0, Matching(())
     value = _bottleneck_value(cost)
     phi = lex_min_perfect_matching(cost <= value)
-    return value, Matching(phi, value)
+    return value, Matching(phi)
 
 
 def bottleneck_distance(z: Diagram, w: Diagram) -> float:
@@ -139,7 +136,7 @@ def bottleneck_bruteforce(z: Diagram, w: Diagram) -> tuple[float, Matching]:
     Defined only up to augmented width 10 (factorial blow-up guard).
     """
     value, phi = min_assignment_max(_oracle_cost(z, w))
-    return value, Matching(phi, value)
+    return value, Matching(phi)
 
 
 def _check_exponent(p: float) -> float:
@@ -227,7 +224,7 @@ def wasserstein(z: Diagram, w: Diagram, p: float) -> tuple[float, Matching]:
     """
     p = _check_exponent(p)
     value, phi = _wasserstein_solve(z, w, p, pairing=True)
-    return value, Matching(phi, value, p)
+    return value, Matching(phi)
 
 
 def wasserstein_distance(z: Diagram, w: Diagram, p: float) -> float:
@@ -244,14 +241,14 @@ def wasserstein_bruteforce(z: Diagram, w: Diagram, p: float) -> tuple[float, Mat
     p = _check_exponent(p)
     if w.points < z.points:
         value, m = wasserstein_bruteforce(w, z, p)
-        return value, Matching(_invert_pairing(m.pairing), m.cost, p)
+        return value, Matching(_invert_pairing(m.pairing))
     cost = _oracle_cost(z, w)
     top = float(cost.max(initial=0.0))
     if top == 0.0:  # both diagrams empty: every point has positive persistence
-        return 0.0, Matching((), 0.0, p)
+        return 0.0, Matching(())
     optimum, phi = min_assignment_sum((cost / top) ** p)
     value = top * optimum ** (1.0 / p)
-    return value, Matching(phi, value, p)
+    return value, Matching(phi)
 
 
 def bottleneck_1pt(a: Point, b: Point) -> float:

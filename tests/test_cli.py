@@ -129,7 +129,8 @@ class TestDist:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "persistence" in captured.err
 
-    @pytest.mark.parametrize("points", [[3], 5, None, [None], [[1, 2, 3]]])
+    @pytest.mark.parametrize("points", [[3], 5, None, [None], [[1, 2, 3]],
+                                        ["12"], [["3", "4.5"]], [[True, 5]]])
     def test_malformed_points_exit1(self, tmp_path, capsys, points):
         write_diagram(tmp_path / "a.json", points)
         write_diagram(tmp_path / "b.json", [[3, 6]])
@@ -254,6 +255,14 @@ class TestGen:
         assert code == 0
         assert out["max_bottleneck_deviation"] <= 1e-9
         assert len(out["files"]) == 20
+
+    @pytest.mark.parametrize("radius", ["inf", "nan"])
+    def test_cube_nonfinite_radius_exit1(self, tmp_path, capsys, radius):
+        code = main(["gen", "--cube", "2", radius, "3", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: R must be finite, got {radius}\n"
 
     def test_dranishnikov(self, tmp_path, capsys):
         code = main(["gen", "--dranishnikov", "2", "2", "--out", str(tmp_path)])

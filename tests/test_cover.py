@@ -20,7 +20,6 @@ from coarsepd import (
     interval_classify_array,
     is_delta,
     line_sampler,
-    lower_bound_demo,
     verify_cover,
 )
 from coarsepd.cover import _BLOCK_TRIALS, DELTA_PROB, MAX_RECORDED_VIOLATIONS
@@ -325,22 +324,3 @@ class TestVerifyCover:
         with pytest.raises(ValueError):
             verify_cover(line_sampler(), interval_classify_array, lambda a, b: abs(a - b),
                          1.0, 0, 0, 2.0)
-
-
-class TestLowerBoundDemo:
-    def test_sup_metric_preserved(self):
-        report = lower_bound_demo(2, 10.0, 200, p=None, seed=1)
-        assert report.max_deviation <= 1e-9
-
-    def test_degenerate_pair(self):
-        report = lower_bound_demo(1, 3.0, 1, p=None, seed=0)
-        assert report.max_deviation <= 1e-9
-
-    def test_l2_at_large_scale(self):
-        report = lower_bound_demo(3, 1000.0, 100, p=2, seed=5)
-        assert report.max_deviation <= 1e-6
-
-    def test_dimension_guard(self):
-        from coarsepd import TooLarge
-        with pytest.raises(TooLarge):
-            lower_bound_demo(4, 1.0, 10)

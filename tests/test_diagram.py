@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,6 +102,14 @@ class TestCanonicalize:
             canonicalize([(-1.0, 2.0)])
         with pytest.raises(InvalidPoint):
             canonicalize([(0.0, math.inf)])
+
+    def test_coordinates_must_be_real_numbers(self):
+        with pytest.raises(InvalidPoint):
+            canonicalize([("3", "4.5")])
+        with pytest.raises(InvalidPoint):
+            canonicalize([(True, 5)])
+        dgm = canonicalize([(np.float64(3.0), np.float64(4.5))])
+        assert dgm.points == ((3.0, 4.5),) and type(dgm.points[0][0]) is float
 
     @given(st.lists(plane_points(), max_size=6), st.randoms())
     def test_permutation_invariant_and_idempotent(self, pts, pyrandom):
