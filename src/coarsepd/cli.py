@@ -169,9 +169,7 @@ def _cmd_gen(args) -> int:
         })
         return EXIT_OK
     if args.cube is not None:
-        n, radius, samples = int(args.cube[0]), float(args.cube[1]), int(args.cube[2])
-        if not math.isfinite(radius):
-            raise ValueError(f"R must be finite, got {radius}")
+        n, radius, samples = _cube_args(*args.cube)
         rng = np.random.default_rng(args.seed)
         points = rng.uniform(0.0, radius, size=(samples, n))
         diagrams = [embed_cube_point(x, radius) for x in points]
@@ -269,6 +267,21 @@ def _positive_int(raw: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {raw}")
     return value
+
+
+def _cube_args(n: str, radius: str, samples: str) -> tuple[int, float, int]:
+    """``gen --cube N R SAMPLES`` as numbers; ValueError names a bad argument."""
+    checked = []
+    for name, text, check, kind in (("N", n, _positive_int, "an integer"),
+                                    ("R", radius, _positive_float, "a number"),
+                                    ("SAMPLES", samples, _positive_int, "an integer")):
+        try:
+            checked.append(check(text))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{name} {exc}") from None
+        except ValueError:
+            raise ValueError(f"{name} must be {kind}, got {text}") from None
+    return tuple(checked)
 
 
 def build_parser() -> argparse.ArgumentParser:

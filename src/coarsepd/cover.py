@@ -1,33 +1,24 @@
 """Scale-parametrized covers witnessing asymptotic-dimension bounds.
 
-``interval_classify`` realizes the 2-family interval decomposition of the
-line; ``brick_classify`` realizes a 3-family staggered brick decomposition
-of diagram space at scale R, with a single merged set absorbing the
-near-diagonal region (its bottleneck diameter stays bounded because the
-diagonal shortcut caps distances at the larger persistence).
+``interval_classify_array`` realizes the 2-family interval decomposition
+of the line; ``brick_classify_array`` realizes a 3-family staggered brick
+decomposition of diagram space at scale R, with a single merged set
+absorbing the near-diagonal region (its bottleneck diameter stays bounded
+because the diagonal shortcut caps distances at the larger persistence).
 ``verify_cover`` samples point pairs and checks R-disjointness and uniform
 boundedness; violations are data, not errors.  It works on whole blocks of
-trials through the ``*_classify_array`` forms, whose references are the
-scalar classifiers.
+trials at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from typing import Callable
 
 import numpy as np
 
-from .diagram import DELTA, Point, is_delta
-
-
-@dataclass(frozen=True)
-class CoverLabel:
-    """(family, set) classification of a point at a fixed scale."""
-
-    family: int
-    set_id: Hashable
+from .diagram import DELTA, Point
 
 
 @dataclass
@@ -47,35 +38,28 @@ class CoverReport:
 
 
 def _check_scale(R: float) -> None:
-    if R <= 0.0:
-        raise ValueError("R must be positive")
+    if not (math.isfinite(R) and R > 0.0):
+        raise ValueError(f"R must be positive and finite, got {R}")
 
 
-def interval_classify(t: float, R: float) -> CoverLabel:
+def interval_classify_array(t: np.ndarray, R: float) -> np.ndarray:
     """Two-family interval cover of the line at scale R.
 
-    Intervals of length 2R, alternating families; same-family distinct
-    intervals are 2R > R apart.
+    Coordinate t lies in interval k = floor(t / 2R), of length 2R, and
+    intervals alternate families: one (k mod 2, k) column per coordinate.
+    Distinct intervals of one family are 2R > R apart.  Raises ValueError
+    unless R is positive and finite.
     """
     _check_scale(R)
-    k = math.floor(float(t) / (2.0 * R))
-    return CoverLabel(family=int(k) % 2, set_id=int(k))
+    k = np.floor(np.asarray(t, dtype=float) / (2.0 * R))
+    return np.stack([np.mod(k, 2.0), k])
 
 
-def broken_interval_classify(t: float, R: float) -> CoverLabel:
-    """Negative control: adjacent intervals in the same family.
-
-    Touching sets share family 0, so cross-set distances get arbitrarily
-    small and the verifier must report violations.
-    """
-    _check_scale(R)
-    return CoverLabel(family=0, set_id=int(math.floor(float(t) / (2.0 * R))))
-
-
-def brick_classify(a: Point, R: float) -> CoverLabel:
+def brick_classify_array(points: np.ndarray, R: float) -> np.ndarray:
     """Three-family brick cover of single-point diagram space at scale R.
 
-    In coordinates u = (birth+death)/2 and q = persistence, with L = 2R:
+    ``points`` is a (births, deaths) array whose NaN columns are DELTA.  In
+    coordinates u = (birth+death)/2 and q = persistence, with L = 2R:
 
     - the near-diagonal set N = {q <= L} (plus DELTA) has bottleneck
       diameter <= L via the diagonal shortcut;
@@ -87,45 +71,10 @@ def brick_classify(a: Point, R: float) -> CoverLabel:
       j >= 1 as separate sets.
 
     Same-family distinct sets end up > 2R apart in the bottleneck metric
-    and every set has diameter <= 6R.
-    """
-    _check_scale(R)
-    if is_delta(a):
-        return CoverLabel(family=0, set_id="N")
-    birth, death = a
-    L = 2.0 * R
-    q = (death - birth) / 2.0
-    if q <= L:
-        return CoverLabel(family=0, set_id="N")
-    u = (birth + death) / 2.0
-    j = int(math.floor((q - L) / L))
-    i = int(math.floor((u - L * j) / (2.0 * L)))
-    color = (2 * i + j) % 3
-    if color == 0 and j == 0:
-        return CoverLabel(family=0, set_id="N")
-    return CoverLabel(family=color, set_id=("brick", i, j))
-
-
-def interval_classify_array(t: np.ndarray, R: float) -> np.ndarray:
-    """``interval_classify`` of each coordinate: one (family, k) column each."""
-    _check_scale(R)
-    k = np.floor(np.asarray(t, dtype=float) / (2.0 * R))
-    return np.stack([np.mod(k, 2.0), k])
-
-
-def broken_interval_classify_array(t: np.ndarray, R: float) -> np.ndarray:
-    """``broken_interval_classify`` of each coordinate: one (0, k) column each."""
-    _check_scale(R)
-    k = np.floor(np.asarray(t, dtype=float) / (2.0 * R))
-    return np.stack([np.zeros_like(k), k])
-
-
-def brick_classify_array(points: np.ndarray, R: float) -> np.ndarray:
-    """``brick_classify`` of a (births, deaths) array, NaN columns being DELTA.
-
-    One (family, i, j) column per point for brick (i, j), and (0, 0, -1)
-    for the near-diagonal set N; bricks have j >= 0.  Labels stay floats,
-    so i and j are exact at any magnitude, as the scalar form's ints are.
+    and every set has diameter <= 6R.  Returns one (family, i, j) column
+    per point for brick (i, j), and (0, 0, -1) for N.  Labels stay floats,
+    so i and j are exact at any magnitude.  Raises ValueError unless R is
+    positive and finite.
     """
     _check_scale(R)
     birth, death = points
@@ -258,8 +207,8 @@ def verify_cover(sampler: tuple[Sampler, Perturber],
     Trials read the doubles of ``np.random.default_rng(seed)`` in order:
     a sample, a coin, then a perturbation when the coin is below 0.5 and
     a second sample otherwise.  The first MAX_RECORDED_VIOLATIONS
-    violations are listed in trial order, with points as the scalar
-    samplers made them: floats, (birth, death) tuples and DELTA.
+    violations are listed in trial order, with points as Python floats,
+    (birth, death) tuples and DELTA.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

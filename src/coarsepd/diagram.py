@@ -45,14 +45,14 @@ def _coordinate(value) -> float:
 def as_plane_point(raw) -> PlanePoint:
     """Coerce and validate a birth-death pair.
 
-    Raises InvalidPoint unless raw is exactly two real numbers (not bools),
-    death > birth >= 0, both are finite and the persistence
+    Raises InvalidPoint unless raw is exactly two real numbers (not bools)
+    within the float range, death > birth >= 0, both are finite and the persistence
     (death - birth) / 2 does not round to zero.  Points with infinite death
     are rejected.
     """
     try:
         birth, death = map(_coordinate, raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidPoint(f"not a birth-death pair: {raw!r}") from exc
     if not (math.isfinite(birth) and math.isfinite(death)):
         raise InvalidPoint(f"non-finite coordinates: {raw!r}")

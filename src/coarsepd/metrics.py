@@ -31,7 +31,7 @@ from .assignment import (
     min_assignment_max,
     min_assignment_sum,
 )
-from .diagram import Diagram, Point, augment, delta, is_delta, persistence
+from .diagram import Diagram, Point, augment, delta
 from .errors import InvalidExponent, OversizeForOracle
 
 ORACLE_MAX_WIDTH = 10
@@ -251,20 +251,14 @@ def wasserstein_bruteforce(z: Diagram, w: Diagram, p: float) -> tuple[float, Mat
     return value, Matching(phi)
 
 
-def bottleneck_1pt(a: Point, b: Point) -> float:
-    """Closed-form bottleneck distance between singleton diagrams.
-
-    The two candidate matchings are the direct pairing and the double
-    diagonal route, hence min(sup distance, max persistence).  Tolerates
-    DELTA arguments (empty diagram semantics).
-    """
-    if is_delta(a) or is_delta(b):
-        return delta(a, b)
-    return min(delta(a, b), max(persistence(a), persistence(b)))
-
-
 def bottleneck_1pt_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``bottleneck_1pt`` of paired (births, deaths) arrays, NaN columns being DELTA."""
+    """Bottleneck distance between paired singleton diagrams.
+
+    ``a`` and ``b`` are (births, deaths) arrays whose NaN columns are DELTA,
+    the empty diagram.  The two candidate matchings are the direct pairing
+    and the double diagonal route, hence min(sup distance, max persistence)
+    for two points, and the persistence of the point against DELTA.
+    """
     a_delta, b_delta = np.isnan(a[0]), np.isnan(b[0])
     pa = np.where(a_delta, 0.0, (a[1] - a[0]) / 2.0)
     pb = np.where(b_delta, 0.0, (b[1] - b[0]) / 2.0)

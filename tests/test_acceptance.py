@@ -17,7 +17,6 @@ from coarsepd import (
     bottleneck_1pt_array,
     bottleneck_bruteforce,
     brick_classify_array,
-    broken_interval_classify_array,
     canonicalize,
     check_coarse_equiv_bounds,
     coarse_disjoint_union,
@@ -34,6 +33,7 @@ from coarsepd import (
     wasserstein_bruteforce,
 )
 from conftest import random_connected_metric
+from cover_reference import broken_interval_classify_array
 
 TOL = 1e-9
 

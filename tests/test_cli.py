@@ -130,7 +130,8 @@ class TestDist:
         assert captured.err.startswith("error:") and "persistence" in captured.err
 
     @pytest.mark.parametrize("points", [[3], 5, None, [None], [[1, 2, 3]],
-                                        ["12"], [["3", "4.5"]], [[True, 5]]])
+                                        ["12"], [["3", "4.5"]], [[True, 5]],
+                                        [[0, 10**400]]])
     def test_malformed_points_exit1(self, tmp_path, capsys, points):
         write_diagram(tmp_path / "a.json", points)
         write_diagram(tmp_path / "b.json", [[3, 6]])
@@ -263,6 +264,19 @@ class TestGen:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: R must be finite, got {radius}\n"
+
+    @pytest.mark.parametrize("cube,name", [
+        (["2", "0", "0"], "R"), (["2", "-1", "3"], "R"), (["2", "abc", "3"], "R"),
+        (["0", "10", "3"], "N"), (["2.5", "10", "3"], "N"),
+        (["2", "10", "-1"], "SAMPLES"), (["2", "10", "0"], "SAMPLES"),
+    ])
+    def test_cube_invalid_argument_exit1(self, tmp_path, capsys, cube, name):
+        code = main(["gen", "--cube", *cube, "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} must be ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_dranishnikov(self, tmp_path, capsys):
         code = main(["gen", "--dranishnikov", "2", "2", "--out", str(tmp_path)])

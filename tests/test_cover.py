@@ -9,30 +9,28 @@ from hypothesis import given, settings, strategies as st
 from coarsepd import (
     DELTA,
     CoverReport,
-    bottleneck_1pt,
     bottleneck_1pt_array,
-    brick_classify,
     brick_classify_array,
-    broken_interval_classify,
-    broken_interval_classify_array,
     diagram_point_sampler,
-    interval_classify,
     interval_classify_array,
     is_delta,
     line_sampler,
     verify_cover,
 )
 from coarsepd.cover import _BLOCK_TRIALS, DELTA_PROB, MAX_RECORDED_VIOLATIONS
-
-
-def as_columns(points):
-    """Scalar points as the (births, deaths) array of the array forms."""
-    return np.array([(math.nan, math.nan) if is_delta(p) else p for p in points],
-                    dtype=float).reshape(-1, 2).T
+from cover_reference import (
+    as_columns,
+    bottleneck_1pt,
+    brick_classify,
+    broken_interval_classify,
+    broken_interval_classify_array,
+    interval_classify,
+)
 
 
 # Per-trial reference: scalar samplers drawing from the Generator itself,
-# the scalar classifiers and metric, one Python iteration per trial.
+# the per-point classifiers and metric of cover_reference, one Python
+# iteration per trial.
 
 def scalar_line_sampler(window):
     def sample(rng):
@@ -79,10 +77,10 @@ def reference_report(sample, perturb, classify, metric, R, trials, seed, bound,
         else:
             y = sample(rng)
         lx, ly = classify(x, R), classify(y, R)
-        if lx.family != ly.family:
+        if lx[0] != ly[0]:
             continue
         dist = float(metric(x, y))
-        if lx.set_id == ly.set_id:
+        if lx == ly:
             max_diam = max(max_diam, dist)
             if dist > bound + 1e-9:
                 violations.append(("diameter_exceeded", x, y, dist))
@@ -212,9 +210,9 @@ class TestArrayForms:
         labels = brick_classify_array(as_columns(points), R)
         assert labels.shape == (3, len(points))
         for p, (family, i, j) in zip(points, labels.T.tolist()):
-            ref = brick_classify(p, R)
-            assert family == ref.family
-            assert (i, j) == (0.0, -1.0) if ref.set_id == "N" else ("brick", i, j) == ref.set_id
+            ref_family, ref_set = brick_classify(p, R)
+            assert family == ref_family
+            assert (i, j) == (0.0, -1.0) if ref_set == "N" else ("brick", i, j) == ref_set
 
     @settings(deadline=None)
     @given(st.data())
@@ -228,8 +226,7 @@ class TestArrayForms:
             labels = array_form(np.array(t), R)
             assert labels.shape == (2, len(t))
             for value, (family, k) in zip(t, labels.T.tolist()):
-                ref = scalar(value, R)
-                assert (family, k) == (ref.family, ref.set_id)
+                assert (family, k) == scalar(value, R)
 
     @settings(deadline=None)
     @given(st.data())
@@ -243,61 +240,74 @@ class TestArrayForms:
         assert values == [bottleneck_1pt(a, b) for a, b in pairs]
 
 
+def interval_label(t, R):
+    """The package's (family, k) label of one coordinate."""
+    return tuple(interval_classify_array(np.array([t]), R)[:, 0].tolist())
+
+
+def brick_label(p, R):
+    """The package's (family, i, j) label of one point; N is (0, 0, -1)."""
+    return tuple(brick_classify_array(as_columns([p]), R)[:, 0].tolist())
+
+
+N = (0.0, 0.0, -1.0)
+
+
 class TestIntervalClassify:
     def test_first_interval(self):
-        label = interval_classify(0.5, 1.0)
-        assert (label.family, label.set_id) == (0, 0)
+        assert interval_label(0.5, 1.0) == (0, 0)
 
     def test_second_interval(self):
-        label = interval_classify(2.5, 1.0)
-        assert (label.family, label.set_id) == (1, 1)
+        assert interval_label(2.5, 1.0) == (1, 1)
 
     def test_same_family_sets_are_2R_apart(self):
         # set 0 covers [0, 2), set 2 covers [4, 6): gap 2 > R = 1
-        assert interval_classify(1.999, 1.0).set_id == 0
-        assert interval_classify(4.0, 1.0).set_id == 2
-        assert interval_classify(4.0, 1.0).family == interval_classify(1.0, 1.0).family
+        assert interval_label(1.999, 1.0)[1] == 0
+        assert interval_label(4.0, 1.0)[1] == 2
+        assert interval_label(4.0, 1.0)[0] == interval_label(1.0, 1.0)[0]
 
     def test_negative_axis(self):
-        label = interval_classify(-0.5, 1.0)
-        assert label.set_id == -1 and label.family == 1
+        assert interval_label(-0.5, 1.0) == (1, -1)
 
 
 class TestBrickClassify:
     def test_delta_in_near_diagonal_set(self):
-        label = brick_classify(DELTA, 1.0)
-        assert (label.family, label.set_id) == (0, "N")
+        assert brick_label(DELTA, 1.0) == N
 
     def test_low_persistence_in_near_diagonal_set(self):
-        label = brick_classify((0.0, 3.0), 1.0)
-        assert (label.family, label.set_id) == (0, "N")
+        assert brick_label((0.0, 3.0), 1.0) == N
 
     def test_worked_formula(self):
         # q = 50, row j = floor((50-2)/2) = 24, brick i = floor((50-48)/4) = 0,
         # color (2*0+24) % 3 = 0 and j >= 1 keeps the brick separate
-        label = brick_classify((0.0, 100.0), 1.0)
-        assert label.family == 0
-        assert label.set_id == ("brick", 0, 24)
+        assert brick_label((0.0, 100.0), 1.0) == (0, 0, 24)
 
     def test_row0_color0_merges_into_near_diagonal_set(self):
         # q in (2, 4], u in [0, 4) has i = j = 0, color 0
-        label = brick_classify((0.0, 6.0), 1.0)  # u = 3, q = 3
-        assert (label.family, label.set_id) == (0, "N")
+        assert brick_label((0.0, 6.0), 1.0) == N  # u = 3, q = 3
 
     def test_partition_deterministic(self):
         a = (2.0, 30.0)
-        assert brick_classify(a, 1.0) == brick_classify(a, 1.0)
+        assert brick_label(a, 1.0) == brick_label(a, 1.0)
 
     @pytest.mark.parametrize("s", [0.5, 3.0, 100.0])
     def test_scale_equivariance(self, s, rng):
-        for _ in range(200):
-            q = float(rng.uniform(0.01, 100.0))
-            u = float(rng.uniform(q, q + 200.0))
-            a = (u - q, u + q)
-            scaled = ((u - q) * s, (u + q) * s)
-            l1 = brick_classify(a, 1.0)
-            l2 = brick_classify(scaled, s)
-            assert l1 == l2
+        q = rng.uniform(0.01, 100.0, size=200)
+        u = q + rng.uniform(0.0, 200.0, size=200)
+        points = np.stack([u - q, u + q])
+        assert np.array_equal(brick_classify_array(points, 1.0),
+                              brick_classify_array(points * s, s))
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("space", ["line", "d1"])
+def test_scale_must_be_positive_and_finite(space, R):
+    if space == "line":
+        cover = (line_sampler(100.0), interval_classify_array, lambda a, b: abs(a - b))
+    else:
+        cover = (diagram_point_sampler(100.0), brick_classify_array, bottleneck_1pt_array)
+    with pytest.raises(ValueError, match="R must be positive and finite"):
+        verify_cover(*cover, R, 100, 0, 6.0)
 
 
 class TestVerifyCover:

@@ -19,7 +19,7 @@ from coarsepd import (
     OversizeForOracle,
     augment,
     bottleneck,
-    bottleneck_1pt,
+    bottleneck_1pt_array,
     bottleneck_bruteforce,
     bottleneck_distance,
     canonicalize,
@@ -33,10 +33,16 @@ from coarsepd import (
 from coarsepd.assignment import lex_min_perfect_matching, min_assignment_max, min_assignment_sum
 from coarsepd.metrics import _cost, _tight_edges, cost_matrix
 from conftest import random_diagram
+from cover_reference import as_columns
 
 
 def d(*pts):
     return canonicalize(pts)
+
+
+def bottleneck_1pt(a, b):
+    """The package's single-point distance of one pair of points."""
+    return float(bottleneck_1pt_array(as_columns([a]), as_columns([b]))[0])
 
 
 class TestBottleneckBruteforce:
