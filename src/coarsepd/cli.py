@@ -152,11 +152,12 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # The output directory is made only once the arguments have passed.
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.zkm is not None:
         k, m = args.zkm
         space = zkm_space(k, m)
+        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"zkm_{k}_{m}.csv"
         io.save_metric(space, path)
         _emit({
@@ -170,6 +171,7 @@ def _cmd_gen(args) -> int:
         return EXIT_OK
     if args.cube is not None:
         n, radius, samples = _cube_args(*args.cube)
+        out_dir.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng(args.seed)
         points = rng.uniform(0.0, radius, size=(samples, n))
         diagrams = [embed_cube_point(x, radius) for x in points]
@@ -188,6 +190,7 @@ def _cmd_gen(args) -> int:
         return EXIT_OK if deviation <= ISOMETRY_TOL else EXIT_DEVIATION
     max_n, max_m = args.dranishnikov
     blocked = dranishnikov_S(max_n, max_m)
+    out_dir.mkdir(parents=True, exist_ok=True)
     embedding = embed_coarse_union(blocked)
     metric_path = out_dir / f"dranishnikov_{max_n}_{max_m}.csv"
     io.save_metric(blocked.space, metric_path)

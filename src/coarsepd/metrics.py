@@ -10,14 +10,18 @@ on scipy's ``linear_sum_assignment``, the package's one matching solver.
 ``bottleneck`` and ``wasserstein`` also return the lex-min optimal matching
 at every width; ``bottleneck_distance``, ``wasserstein_distance`` and
 ``distance_matrix`` return the same values without one.  The solvers build
-the padded cost matrix in blocks from coordinate arrays.  The
-``*_bruteforce`` variants minimize over all permutations directly and act
-as independent oracles; they build their costs point by point with ``delta``.
+the padded cost matrix in blocks from coordinate arrays.
+``distance_matrix`` decides most bottleneck pairs without a solver call: it
+puts every diagram into one padded coordinate array and, row by row,
+certifies the lower bound of the threshold search with a greedy
+nearest-point matching; only the pairs the certificate declines go to
+``bottleneck_distance``.  The ``*_bruteforce`` variants minimize over all
+permutations directly and act as independent oracles; they build their
+costs point by point with ``delta``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +39,7 @@ from .diagram import Diagram, Point, augment, delta
 from .errors import InvalidExponent, OversizeForOracle
 
 ORACLE_MAX_WIDTH = 10
+_BLOCK_ENTRIES = 2 ** 22  # largest (pairs, K, K) cost block of distance_matrix
 _TOL = 1e-9  # rounding slack of check_coarse_equiv_bounds
 
 
@@ -277,23 +282,89 @@ def check_coarse_equiv_bounds(z: Diagram, w: Diagram, p: float) -> bool:
     return d_b <= d_w + _TOL and d_w <= factor * d_b + _TOL
 
 
+def _certify_lower_bound(a: np.ndarray, pa: np.ndarray, b: np.ndarray,
+                         pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower bound L of d_B between z and each w_r, and whether it is d_B.
+
+    ``a`` (K, 2) holds z's points and ``b`` (B, K, 2) those of each w_r,
+    padded to K rows with -inf in ``a`` and +inf in ``b``, so that every
+    cost against a padding slot is +inf; ``pa`` (K,) and ``pb`` (B, K) are
+    their persistences, zero-padded.  L is the bound ``_bottleneck_value``
+    tests first, built from the same float expressions as ``_cost``: the
+    largest row or column minimum of the padded matrix, whose DELTA rows
+    and columns have minimum 0.  Each point of z goes to its nearest point
+    of w_r when that costs <= L, and to DELTA otherwise.  If those choices
+    are injective and every unchosen point of w_r has persistence <= L,
+    they extend to a perfect matching of the width-2 max(n, m) matrix
+    within L (there are W - m >= n DELTA columns and W - n >= m DELTA
+    rows), so d_B = L exactly.
+    """
+    sup = a[:, None, 0] - b[:, None, :, 0]
+    np.abs(sup, out=sup)
+    dy = a[:, None, 1] - b[:, None, :, 1]
+    np.abs(dy, out=dy)
+    np.maximum(sup, dy, out=sup)
+    nearest = sup.argmin(axis=2)
+    near = np.take_along_axis(sup, nearest[:, :, None], axis=2)[:, :, 0]
+    bound = np.maximum(np.minimum(near, pa).max(axis=1),
+                       np.minimum(sup.min(axis=1), pb).max(axis=1))
+    chosen = near <= bound[:, None]
+    k = pb.shape[1]
+    hits = np.bincount(np.nonzero(chosen)[0] * k + nearest[chosen],
+                       minlength=pb.size).reshape(pb.shape)
+    certified = (hits <= 1).all(axis=1) & ~((hits == 0) & (pb > bound[:, None])).any(axis=1)
+    return bound, certified
+
+
+def _bottleneck_matrix(rows: list[Diagram]) -> np.ndarray:
+    """Upper triangle of the all-pairs d_B matrix; see ``_certify_lower_bound``.
+
+    Every diagram is converted once into a NaN-padded (N, K, 2) array.  Each
+    row is certified against all later diagrams at once, in blocks of at
+    most _BLOCK_ENTRIES costs; declined pairs go to ``bottleneck_distance``.
+    """
+    n = len(rows)
+    out = np.zeros((n, n))
+    k = max((len(z) for z in rows), default=0)
+    if k == 0:
+        return out
+    coords = np.full((n, k, 2), np.nan)
+    for r, z in enumerate(rows):
+        if z.points:
+            coords[r, :len(z)] = z.points
+    pers = np.nan_to_num((coords[:, :, 1] - coords[:, :, 0]) / 2.0)
+    pad = np.isnan(coords)
+    low, high = np.where(pad, -np.inf, coords), np.where(pad, np.inf, coords)
+    step = max(1, _BLOCK_ENTRIES // (k * k))
+    for i in range(n - 1):
+        for start in range(i + 1, n, step):
+            stop = min(start + step, n)
+            bound, certified = _certify_lower_bound(low[i], pers[i], high[start:stop],
+                                                    pers[start:stop])
+            out[i, start:stop] = bound
+            for j in start + np.flatnonzero(~certified):
+                out[i, j] = bottleneck_distance(rows[i], rows[j])
+    return out
+
+
 def distance_matrix(diagrams: Sequence[Diagram], metric: str = "bottleneck",
                     p: float = 2.0) -> np.ndarray:
     """Symmetric all-pairs matrix of diagram distances, values only.
 
     Each unordered pair is computed once.  metric is "bottleneck" or
-    "wasserstein" (with exponent p).
+    "wasserstein" (with exponent p).  Every value equals the per-pair
+    ``bottleneck_distance`` or ``wasserstein_distance`` bit for bit.
     """
+    rows = list(diagrams)
     if metric == "bottleneck":
-        dist = bottleneck_distance
+        out = _bottleneck_matrix(rows)
     elif metric == "wasserstein":
-        dist = functools.partial(wasserstein_distance, p=_check_exponent(p))
+        p = _check_exponent(p)
+        out = np.zeros((len(rows), len(rows)))
+        for i, j in itertools.combinations(range(len(rows)), 2):
+            out[i, j] = wasserstein_distance(rows[i], rows[j], p)
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    rows = list(diagrams)
-    out = np.zeros((len(rows), len(rows)))
-    for i, j in itertools.combinations(range(len(rows)), 2):
-        out[i, j] = dist(rows[i], rows[j])
     return out + out.T
 
 

@@ -299,6 +299,20 @@ class TestGen:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "COARSE_PD_MAX_POINTS" in captured.err
 
+    @pytest.mark.parametrize("gen,cap,code", [
+        (["--cube", "0", "10", "3"], "4096", 1),
+        (["--cube", "2", "inf", "3"], "4096", 1),
+        (["--zkm", "3", "2"], "4", 5),
+        (["--dranishnikov", "2", "2"], "4", 5),
+    ])
+    def test_rejected_arguments_leave_no_directory(self, tmp_path, capsys, monkeypatch,
+                                                   gen, cap, code):
+        monkeypatch.setenv("COARSE_PD_MAX_POINTS", cap)
+        out_dir = tmp_path / "new"
+        assert main(["gen", *gen, "--out", str(out_dir)]) == code
+        capsys.readouterr()
+        assert not out_dir.exists()
+
 
 class TestProfile:
     def test_identity_profile(self, tmp_path, capsys, rng):

@@ -1,6 +1,7 @@
 """Bottleneck and Wasserstein solvers against the permutation oracle."""
 
 import bisect
+import itertools
 import math
 import warnings
 
@@ -26,10 +27,15 @@ from coarsepd import (
     check_coarse_equiv_bounds,
     describe_matching,
     distance_matrix,
+    dranishnikov_S,
+    embed_coarse_union,
+    embed_finite_metric,
     wasserstein,
     wasserstein_bruteforce,
     wasserstein_distance,
+    zkm_space,
 )
+from coarsepd import metrics
 from coarsepd.assignment import lex_min_perfect_matching, min_assignment_max, min_assignment_sum
 from coarsepd.metrics import _cost, _tight_edges, cost_matrix
 from conftest import random_diagram
@@ -362,6 +368,54 @@ class TestValueOnly:
             distance_matrix([d((0, 2))], "sliced")
         with pytest.raises(InvalidExponent):
             distance_matrix([d((0, 2)), d((1, 3))], "wasserstein", math.inf)
+
+
+def integer_diagrams(max_size=5):
+    """Diagrams on a small integer grid: many cost ties and duplicate points."""
+    point = st.tuples(st.integers(0, 4), st.integers(1, 4)).map(lambda t: (t[0], t[0] + t[1]))
+    return st.lists(point, max_size=max_size).map(canonicalize)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Pairs that distance_matrix hands to bottleneck_distance."""
+    calls = []
+    solve = metrics.bottleneck_distance
+
+    def counted(z, w):
+        calls.append((z, w))
+        return solve(z, w)
+
+    monkeypatch.setattr(metrics, "bottleneck_distance", counted)
+    return calls
+
+
+class TestCertifiedDistanceMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(integer_diagrams(), min_size=2, max_size=8))
+    @example([Diagram(), Diagram()])
+    @example([Diagram(), d((0, 2)), d((0, 2), (0, 2)), d((0, 2), (1, 3)), d((1, 3))])
+    def test_equals_pair_loop_bit_for_bit(self, dgms):
+        expected = np.zeros((len(dgms), len(dgms)))
+        for i, j in itertools.combinations(range(len(dgms)), 2):
+            expected[i, j] = bottleneck_distance(dgms[i], dgms[j])
+        assert distance_matrix(dgms).tobytes() == (expected + expected.T).tobytes()
+
+    @pytest.mark.parametrize("z,w,value", [
+        # Both points of z are nearest to the one point of w.
+        (d((0, 10), (0, 10.2)), d((0, 10.1)), 5.0),
+        # w's second point is left unmatched with persistence above the bound.
+        (d((0, 10)), d((0, 10.1), (0, 10.3)), 5.05),
+    ])
+    def test_declined_pair_falls_back(self, fallbacks, z, w, value):
+        assert distance_matrix([z, w])[0, 1] == bottleneck_bruteforce(z, w)[0] == value
+        assert fallbacks == [(z, w)]
+
+    def test_embedding_images_need_no_solver(self, fallbacks):
+        union = embed_coarse_union(dranishnikov_S(4, 2)).diagrams
+        distance_matrix(union)
+        distance_matrix(embed_finite_metric(zkm_space(3, 3)))
+        assert fallbacks == []
 
 
 def n_plus_m_bottleneck(z, w):
