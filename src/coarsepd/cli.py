@@ -9,6 +9,7 @@ large, 6 verification deviation beyond tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -227,6 +228,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    if args.diagrams is None:
+        if args.image is None:
+            raise ValueError("provide an image metric file or --diagrams")
+        if args.bottleneck or args.wasserstein is not None:
+            raise ValueError("--bottleneck and --wasserstein apply only with --diagrams")
+    elif args.image is not None:
+        raise ValueError("provide an image metric file or --diagrams, not both")
     source = io.load_metric(args.source)
     if args.diagrams:
         diagrams = [io.load_diagram(p) for p in args.diagrams]
@@ -234,12 +242,10 @@ def _cmd_profile(args) -> int:
             raise SizeMismatch(f"{len(diagrams)} diagrams for {source.n_points} points")
         metric = "bottleneck" if args.wasserstein is None else "wasserstein"
         image = distance_matrix(diagrams, metric, args.wasserstein)
-    elif args.image is not None:
+    else:
         image = io.load_metric(args.image).dist
         if image.shape != source.dist.shape:
             raise SizeMismatch("source and image matrices differ in size")
-    else:
-        raise ValueError("provide an image metric file or --diagrams")
     bin_width = None
     if args.bins:
         tmax = float(np.triu(source.dist, 1).max())
@@ -287,7 +293,12 @@ def _cube_args(n: str, radius: str, samples: str) -> tuple[int, float, int]:
     return tuple(checked)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``coarsepd`` parser, built on first use and shared by every later call.
+
+    Parsing does not change it: each ``parse_args`` fills a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="coarsepd",
         description="Persistence-diagram metrics and coarse-geometry constructions.",

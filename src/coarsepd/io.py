@@ -18,7 +18,10 @@ from .embeddings import FiniteMetricSpace, validate_metric
 
 def load_diagram(path) -> Diagram:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict) or "points" not in data:
         raise ValueError(f"{path}: expected a JSON object with a 'points' key")
     if not isinstance(data["points"], list):

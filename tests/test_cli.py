@@ -11,13 +11,16 @@ import pytest
 
 from coarsepd import (
     Diagram,
+    bottleneck,
     canonicalize,
     distance_matrix,
     embed_finite_metric,
     profile_map,
     validate_metric,
+    wasserstein,
     zkm_space,
 )
+from coarsepd import cli
 from coarsepd import io as cpio
 from coarsepd.cli import main
 from conftest import random_connected_metric
@@ -109,13 +112,43 @@ class TestDist:
         assert captured.out == ""
         assert "p must be" in captured.err
 
-    def test_parse_error_exit1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("body", [
+        pytest.param("not json", id="not_json"),
+        # json.load raises RecursionError at this depth; main must not let it out.
+        pytest.param('{"points": ' + "[" * 3000 + "]" * 3000 + "}", id="nested_3000"),
+    ])
+    def test_parse_error_exit1(self, tmp_path, capsys, body):
         bad = tmp_path / "bad.json"
-        bad.write_text("not json")
+        bad.write_text(body)
         write_diagram(tmp_path / "b.json", [[3, 6]])
         code = main(["dist", str(bad), str(tmp_path / "b.json"), "--bottleneck"])
-        capsys.readouterr()
+        captured = capsys.readouterr()
         assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_shared_parser_keeps_no_state(self, tmp_path, capsys):
+        # main reuses one parser; a usage error or an exponent given to one
+        # call must not reach the next.
+        assert cli.build_parser() is cli.build_parser()
+        write_diagram(tmp_path / "a.json", [[0, 4], [1, 3]])
+        write_diagram(tmp_path / "b.json", [[3, 6]])
+        files = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        z, w = cpio.load_diagram(files[0]), cpio.load_diagram(files[1])
+        d_w2, d_b = wasserstein(z, w, 2)[0], bottleneck(z, w)[0]
+        assert d_w2 != d_b
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", *files, "--bottleneck", "--wasserstein", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["dist", *files, "--wasserstein", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["metric"] == "wasserstein"
+        assert out["distance_value"] == d_w2
+        assert main(["dist", *files]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["metric"] == "bottleneck" and "p" not in out
+        assert out["distance_value"] == d_b
 
     @pytest.mark.parametrize("metric", [["--bottleneck"], ["--wasserstein", "2"]])
     def test_zero_persistence_point_exit1(self, tmp_path, capsys, metric):
@@ -385,12 +418,24 @@ class TestProfile:
         assert code == 1 and captured.out == ""
         assert "4 diagrams for 5 points" in captured.err
 
-    def test_no_image_exit1(self, tmp_path, capsys, rng):
-        cpio.save_metric(random_connected_metric(rng, 4), tmp_path / "src.csv")
-        code = main(["profile", str(tmp_path / "src.csv")])
+    @pytest.mark.parametrize("args, message", [
+        pytest.param([], "provide an image metric file or --diagrams", id="neither"),
+        pytest.param(["img.csv", "--diagrams", "d0.json"],
+                     "provide an image metric file or --diagrams, not both", id="both"),
+        pytest.param(["img.csv", "--wasserstein", "2"],
+                     "--bottleneck and --wasserstein apply only with --diagrams",
+                     id="metric_with_image"),
+        pytest.param(["img.csv", "--bottleneck"],
+                     "--bottleneck and --wasserstein apply only with --diagrams",
+                     id="bottleneck_with_image"),
+    ])
+    def test_inputs_exit1(self, tmp_path, monkeypatch, capsys, args, message):
+        # Rejected before any file is read: none of these files exists.
+        monkeypatch.chdir(tmp_path)
+        code = main(["profile", "src.csv", *args])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert "provide an image metric file or --diagrams" in captured.err
+        assert captured.err == f"error: {message}\n"
 
 @pytest.mark.parametrize("command", ["profile", "embed"])
 def test_non_finite_metric_exit3(tmp_path, capsys, command):
