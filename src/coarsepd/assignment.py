@@ -1,30 +1,27 @@
 """Bipartite matching and exhaustive assignment search primitives.
 
-scipy's ``linear_sum_assignment`` on the 0/1 cost ``~ok`` decides whether a
-boolean edge matrix has a perfect matching and seeds the lex-min recovery,
-which improves that matching one row at a time along alternating paths.
-The subset dynamic programs are exact minima over all permutations and
-serve as independent oracles for the solvers.
+scipy's ``linear_sum_assignment`` on the 0/1 cost ``~ok`` finds a perfect
+matching of a boolean edge matrix when there is one; the lex-min recovery
+improves a given perfect matching one row at a time along alternating
+paths.  The subset dynamic programs are exact minima over all permutations
+and serve as independent oracles for the solvers.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 
 
-def _assignment(ok: np.ndarray) -> np.ndarray:
-    """Column of each row in an assignment of ok that uses the most edges."""
+def perfect_matching(ok: np.ndarray) -> Optional[np.ndarray]:
+    """Column of each row in a perfect matching of ok, or None when there is none."""
     # Imported here so that commands which never match do not load scipy.
     from scipy.optimize import linear_sum_assignment
 
-    return linear_sum_assignment(~ok)[1]  # cost 0 on an edge, 1 off it
-
-
-def has_perfect_matching(ok: np.ndarray) -> bool:
-    """Whether the boolean edge matrix admits a perfect matching."""
-    return bool(ok[np.arange(len(ok)), _assignment(ok)].all())
+    col = linear_sum_assignment(~ok)[1]  # cost 0 on an edge, 1 off it
+    return col if ok[np.arange(len(ok)), col].all() else None
 
 
 def _bit_rows(ok: np.ndarray) -> list[int]:
@@ -33,28 +30,38 @@ def _bit_rows(ok: np.ndarray) -> list[int]:
     return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
-def lex_min_perfect_matching(ok: np.ndarray) -> tuple[int, ...]:
+def lex_min_perfect_matching(ok: np.ndarray, col: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically smallest permutation that is a perfect matching of ok.
 
-    Starts from any perfect matching and fixes rows in order.  Row i can
+    Starts from col, the column of each row in any perfect matching of ok
+    (ValueError if it is not one), and fixes rows in order.  Row i can
     take exactly the columns whose holders can shift, along an alternating
     path over the unfixed rows, into row i's current column; one
     breadth-first search from that column finds them, and the row takes the
     smallest one it has an edge to.  The search is skipped when row i has
     no edge to an unfixed column below its current one, and stops once the
-    smallest such column is reached.  Raises RuntimeError when ok has no
-    perfect matching.
+    smallest such column is reached.
     """
     n = ok.shape[0]
-    col = _assignment(ok).tolist()
-    if not ok[range(n), col].all():
-        raise RuntimeError("no perfect matching")
-    row = [0] * n
-    for r, c in enumerate(col):
-        row[c] = r
+    col = np.asarray(col, dtype=np.intp)
+    if (col.shape != (n,) or col.min(initial=0) < 0
+            or (np.bincount(col, minlength=n) != 1).any() or not ok[np.arange(n), col].all()):
+        raise ValueError("col is not a perfect matching of ok")
+    col = col.tolist()
     # Sets of rows or columns are ints used as bit sets; fixed holds the
     # columns of the rows before i.
     row_edges, col_edges = _bit_rows(ok), _bit_rows(ok.T)
+    # Rows with the same edges can trade columns, so each group of them
+    # starts with its columns in increasing order.
+    groups = {}
+    for r, edges in enumerate(row_edges):
+        groups.setdefault(edges, []).append(r)
+    for rows in groups.values():
+        for r, c in zip(rows, sorted(col[r] for r in rows)):
+            col[r] = c
+    row = [0] * n
+    for r, c in enumerate(col):
+        row[c] = r
     fixed = 0
     for i in range(n):
         start = col[i]
@@ -120,6 +127,24 @@ def _min_assignment(cost: np.ndarray, combine) -> list[float]:
     return h
 
 
+def _lex_min_recovery(cost: np.ndarray, h: list[float], fits) -> tuple[int, ...]:
+    """Walk the rows in order, each taking the smallest free column j that fits.
+
+    S holds the columns taken so far; column j fits row i when
+    fits(cost[i, j], h[S | 1 << j], h[S]) says that the step keeps an optimal
+    permutation within reach, so the walk ends on the lexicographically
+    smallest optimum.
+    """
+    perm: list[int] = []
+    S = 0
+    for row in cost.tolist():
+        j = next(j for j, c in enumerate(row)
+                 if not S >> j & 1 and fits(c, h[S | (1 << j)], h[S]))
+        perm.append(j)
+        S |= 1 << j
+    return tuple(perm)
+
+
 def min_assignment_max(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
     """Exact min over all permutations of the maximum per-pair cost.
 
@@ -127,22 +152,9 @@ def min_assignment_max(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
     optimum, so the recovery keeps the global value as a cap and picks the
     smallest feasible column per row: the lexicographically smallest optimum.
     """
-    n = cost.shape[0]
     h = _min_assignment(cost, lambda c, rest: c if c > rest else rest)
-    rows = cost.tolist()
     cap = h[0]
-    perm: list[int] = []
-    S = 0
-    for i in range(n):
-        row = rows[i]
-        for j in range(n):
-            if S >> j & 1:
-                continue
-            if row[j] <= cap and h[S | (1 << j)] <= cap:
-                perm.append(j)
-                S |= 1 << j
-                break
-    return cap, tuple(perm)
+    return cap, _lex_min_recovery(cost, h, lambda c, rest, _: c <= cap and rest <= cap)
 
 
 def min_assignment_sum(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -153,18 +165,5 @@ def min_assignment_sum(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
     same expression the table stored, so float comparison is safe); the
     result is the lexicographically smallest optimal permutation.
     """
-    n = cost.shape[0]
     h = _min_assignment(cost, lambda c, rest: c + rest)
-    rows = cost.tolist()
-    perm: list[int] = []
-    S = 0
-    for i in range(n):
-        row = rows[i]
-        for j in range(n):
-            if S >> j & 1:
-                continue
-            if row[j] + h[S | (1 << j)] == h[S]:
-                perm.append(j)
-                S |= 1 << j
-                break
-    return h[0], tuple(perm)
+    return h[0], _lex_min_recovery(cost, h, lambda c, rest, target: c + rest == target)

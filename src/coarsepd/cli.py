@@ -26,7 +26,7 @@ from .cover import (
     verify_cover,
 )
 from .diagram import Diagram
-from .embeddings import check_isometry, dranishnikov_S, embed_coarse_union, \
+from .embeddings import _check_cap, check_isometry, dranishnikov_S, embed_coarse_union, \
     embed_cube_point, embed_finite_metric, zkm_space
 from .errors import (
     CoarsePDError,
@@ -77,13 +77,8 @@ def _save_diagrams(diagrams, out_dir: Path, stem: str) -> list[str]:
 
 
 def _matching_json(z: Diagram, w: Diagram, matching) -> list[dict]:
-    out = []
-    for li, rj in describe_matching(z, w, matching):
-        out.append({
-            "left": "Delta" if li is None else li,
-            "right": "Delta" if rj is None else rj,
-        })
-    return out
+    return [{"left": "Delta" if li is None else li, "right": "Delta" if rj is None else rj}
+            for li, rj in describe_matching(z, w, matching)]
 
 
 def _cmd_dist(args) -> int:
@@ -172,6 +167,7 @@ def _cmd_gen(args) -> int:
         return EXIT_OK
     if args.cube is not None:
         n, radius, samples = _cube_args(*args.cube)
+        _check_cap(samples, "SAMPLES = ")
         out_dir.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng(args.seed)
         points = rng.uniform(0.0, radius, size=(samples, n))
@@ -244,8 +240,6 @@ def _cmd_profile(args) -> int:
         image = distance_matrix(diagrams, metric, args.wasserstein)
     else:
         image = io.load_metric(args.image).dist
-        if image.shape != source.dist.shape:
-            raise SizeMismatch("source and image matrices differ in size")
     bin_width = None
     if args.bins:
         tmax = float(np.triu(source.dist, 1).max())

@@ -42,7 +42,16 @@ def load_metric(path) -> FiniteMetricSpace:
     if len(rows) < 2:
         raise ValueError(f"{path}: expected a label row plus matrix rows")
     labels = [c.strip() for c in rows[0]]
-    matrix = [[float(c) for c in row] for row in rows[1:]]
+    try:
+        matrix = [[float(c) for c in row] for row in rows[1:]]
+    except ValueError as exc:
+        # Only a failed parse goes cell by cell, to name the cell it failed on.
+        for i, row in enumerate(rows[1:]):
+            for j, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(f"{path}: matrix row {i}, column {j}: {exc}") from None
     if len(matrix) != len(labels) or any(len(r) != len(labels) for r in matrix):
         raise ValueError(f"{path}: matrix shape does not match label count")
     return validate_metric(matrix, labels)

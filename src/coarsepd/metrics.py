@@ -30,10 +30,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assignment import (
-    has_perfect_matching,
     lex_min_perfect_matching,
     min_assignment_max,
     min_assignment_sum,
+    perfect_matching,
 )
 from .diagram import Diagram, Point, augment, delta
 from .errors import InvalidExponent, OversizeForOracle
@@ -83,26 +83,32 @@ def _cost(z: Diagram, w: Diagram) -> np.ndarray:
     return out
 
 
-def _bottleneck_value(cost: np.ndarray) -> float:
+def _bottleneck_value(cost: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest pairwise cost at which the square cost matrix has a perfect matching.
 
     Every row and every column must be matched, so no cost below
     max(max_i min_j c_ij, max_j min_i c_ij) is feasible.  That bound is
     itself a cost and is often the optimum, so it is tested first; the
-    larger costs are bisected (the largest is always feasible).
+    larger costs are bisected.  Returns the value and the perfect matching
+    its test found, or the identity at the untested largest cost.
     """
+    if cost.size == 0:
+        return 0.0, np.arange(0)
     bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
-    if has_perfect_matching(cost <= bound):
-        return float(bound)
+    col = perfect_matching(cost <= bound)
+    if col is not None:
+        return float(bound), col
     candidates = np.unique(cost[cost > bound])
     lo, hi = 0, len(candidates) - 1
+    col = np.arange(len(cost))
     while lo < hi:
         mid = (lo + hi) // 2
-        if has_perfect_matching(cost <= candidates[mid]):
-            hi = mid
-        else:
+        found = perfect_matching(cost <= candidates[mid])
+        if found is None:
             lo = mid + 1
-    return float(candidates[lo])
+        else:
+            hi, col = mid, found
+    return float(candidates[lo]), col
 
 
 def bottleneck(z: Diagram, w: Diagram) -> tuple[float, Matching]:
@@ -114,17 +120,13 @@ def bottleneck(z: Diagram, w: Diagram) -> tuple[float, Matching]:
     returned.
     """
     cost = _cost(z, w)
-    if cost.size == 0:
-        return 0.0, Matching(())
-    value = _bottleneck_value(cost)
-    phi = lex_min_perfect_matching(cost <= value)
-    return value, Matching(phi)
+    value, col = _bottleneck_value(cost)
+    return value, Matching(lex_min_perfect_matching(cost <= value, col))
 
 
 def bottleneck_distance(z: Diagram, w: Diagram) -> float:
     """Exact bottleneck distance without a matching; equals ``bottleneck(z, w)[0]``."""
-    cost = _cost(z, w)
-    return _bottleneck_value(cost) if cost.size else 0.0
+    return _bottleneck_value(_cost(z, w))[0]
 
 
 def _oracle_cost(z: Diagram, w: Diagram) -> np.ndarray:
@@ -213,7 +215,7 @@ def _wasserstein_solve(z: Diagram, w: Diagram, p: float,
     value = top * optimum ** (1.0 / p)
     if not pairing:
         return value, None
-    phi = lex_min_perfect_matching(_tight_edges(powered, cols, optimum))
+    phi = lex_min_perfect_matching(_tight_edges(powered, cols, optimum), cols)
     return value, _invert_pairing(phi) if swapped else phi
 
 
@@ -373,11 +375,6 @@ def describe_matching(z: Diagram, w: Diagram, matching: Matching) -> list[tuple[
 
     Pairs matching DELTA to DELTA are pruned.
     """
-    out: list[tuple[Optional[int], Optional[int]]] = []
-    for i, j in enumerate(matching.pairing):
-        li = i if i < len(z) else None
-        rj = j if j < len(w) else None
-        if li is None and rj is None:
-            continue
-        out.append((li, rj))
-    return out
+    n, m = len(z), len(w)
+    return [(i if i < n else None, j if j < m else None)
+            for i, j in enumerate(matching.pairing) if i < n or j < m]

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coarsepd.assignment import (
-    has_perfect_matching,
     lex_min_perfect_matching,
     min_assignment_max,
     min_assignment_sum,
+    perfect_matching,
 )
 
 
@@ -68,15 +68,20 @@ class TestSubsetProgramMatchesEnumeration:
 class TestMatchingHelpers:
     def test_perfect_matching_detection(self):
         ok = np.array([[True, False], [True, False]])
-        assert not has_perfect_matching(ok)
-        with pytest.raises(RuntimeError):
-            lex_min_perfect_matching(ok)
+        assert perfect_matching(ok) is None
         ok[1, 1] = True
-        assert has_perfect_matching(ok)
+        assert perfect_matching(ok).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("col", [(1, 0), (0, 0), (0, 2), (-1, 0), (0,), ((0, 1),)])
+    def test_start_that_is_not_a_matching(self, col):
+        # (1, 0) is a permutation that uses the missing edge (0, 1)
+        ok = np.array([[True, False], [True, True]])
+        with pytest.raises(ValueError, match="not a perfect matching"):
+            lex_min_perfect_matching(ok, col)
 
     def test_lex_min_matching_prefers_small_columns(self):
         ok = np.ones((3, 3), dtype=bool)
-        assert lex_min_perfect_matching(ok) == (0, 1, 2)
+        assert lex_min_perfect_matching(ok, (2, 0, 1)) == (0, 1, 2)
 
     @given(st.integers(0, 8).flatmap(lambda n: st.lists(
         st.booleans(), min_size=n * n, max_size=n * n).map(
@@ -84,11 +89,14 @@ class TestMatchingHelpers:
     def test_matching_agrees_with_subset_program(self, ok):
         # cost 0 on edges, 1 off them: the subset program's optimum is 0
         # exactly when a perfect matching exists, and its lex-min recovery
-        # shares no code with the matching pass
+        # shares no code with the matching pass, which gives the same result
+        # from the solver's matching and from the subset program's own
         value, perm = min_assignment_max((~ok).astype(float))
-        assert has_perfect_matching(ok) == (value == 0.0)
+        col = perfect_matching(ok)
+        assert (col is not None) == (value == 0.0)
         if value == 0.0:
-            assert lex_min_perfect_matching(ok) == perm
+            assert lex_min_perfect_matching(ok, col) == perm
+            assert lex_min_perfect_matching(ok, perm) == perm
 
     def test_long_alternating_path(self):
         # the only perfect matching shifts every row by one column; reaching
@@ -98,5 +106,6 @@ class TestMatchingHelpers:
         ok[np.arange(n - 1), np.arange(n - 1)] = True
         ok[np.arange(n - 1), np.arange(1, n)] = True
         ok[n - 1, 0] = True
-        assert has_perfect_matching(ok)
-        assert lex_min_perfect_matching(ok) == tuple(range(1, n)) + (0,)
+        col = perfect_matching(ok)
+        assert col is not None
+        assert lex_min_perfect_matching(ok, col) == tuple(range(1, n)) + (0,)

@@ -337,6 +337,7 @@ class TestGen:
         (["--cube", "2", "inf", "3"], "4096", 1),
         (["--zkm", "3", "2"], "4", 5),
         (["--dranishnikov", "2", "2"], "4", 5),
+        (["--cube", "1", "10", "5"], "4", 5),
     ])
     def test_rejected_arguments_leave_no_directory(self, tmp_path, capsys, monkeypatch,
                                                    gen, cap, code):
@@ -383,9 +384,27 @@ class TestProfile:
         cpio.save_metric(X, tmp_path / "src.csv")
         cpio.save_metric(Y, tmp_path / "img.csv")
         code = main(["profile", str(tmp_path / "src.csv"), str(tmp_path / "img.csv")])
-        capsys.readouterr()
-        assert code == 1
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: image shape (4, 4) != source shape (5, 5)\n"
 
+    @pytest.mark.parametrize("bad", ["src", "img"])
+    def test_non_numeric_cell_names_file(self, tmp_path, capsys, rng, bad):
+        from conftest import random_connected_metric
+        X = random_connected_metric(rng, 4)
+        cpio.save_metric(X, tmp_path / "src.csv")
+        cpio.save_metric(X, tmp_path / "img.csv")
+        path = tmp_path / f"{bad}.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[3] = "abc"
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["profile", str(tmp_path / "src.csv"), str(tmp_path / "img.csv")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: {path}: matrix row 1, column 3: "
+                                "could not convert string to float: 'abc'\n")
 
     def test_diagram_profile_wasserstein(self, tmp_path, capsys, rng):
         X = random_connected_metric(rng, 6)

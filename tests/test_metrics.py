@@ -190,7 +190,7 @@ class TestOracleEquivalence:
             cost = rng.integers(0, 10, size=(width, width)).astype(float)
             rows, cols = linear_sum_assignment(cost)
             optimum = float(cost[rows, cols].sum())
-            phi = lex_min_perfect_matching(_tight_edges(cost, cols, optimum))
+            phi = lex_min_perfect_matching(_tight_edges(cost, cols, optimum), cols)
             assert (optimum, phi) == min_assignment_sum(cost)
 
 
@@ -368,6 +368,70 @@ class TestValueOnly:
             distance_matrix([d((0, 2))], "sliced")
         with pytest.raises(InvalidExponent):
             distance_matrix([d((0, 2)), d((1, 3))], "wasserstein", math.inf)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Shapes of the cost matrices passed to scipy's linear_sum_assignment."""
+    import scipy.optimize
+
+    calls = []
+    solve = scipy.optimize.linear_sum_assignment
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return solve(cost)
+
+    # Both solver imports are local to the call, so they see the patch.
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
+    return calls
+
+
+# d_B = 1.5 is the largest cost; the lower bound of the search is 1.0.
+AT_LARGEST_COST = (d((1, 4)), d((2, 5), (2, 5)))
+
+
+class TestOneSolvePerMatchedDistance:
+    """The lex-min pass starts from the matching the solve found."""
+
+    def test_bottleneck_at_lower_bound(self, solves):
+        z, w = d((0, 4), (1, 3)), d((3, 6), (2, 5))
+        cost = _cost(z, w)
+        value = bottleneck_distance(z, w)
+        assert value == max(cost.min(axis=1).max(), cost.min(axis=0).max())
+        assert len(solves) == 1
+        assert bottleneck(z, w)[0] == value
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("pair", [BOUND_BELOW_OPTIMUM, WIDE, AT_LARGEST_COST])
+    def test_bottleneck_matching_adds_no_solve(self, solves, pair):
+        bottleneck_distance(*pair)
+        tests = len(solves)
+        bottleneck(*pair)
+        assert len(solves) == 2 * tests
+
+    def test_value_at_largest_cost(self, solves):
+        # the bound 1.0 is infeasible and 1.5 is the only larger cost, so no
+        # test runs at the value and the lex-min pass starts from the identity
+        z, w = AT_LARGEST_COST
+        cost = _cost(z, w)
+        value, col = metrics._bottleneck_value(cost)
+        assert (value, col.tolist(), len(solves)) == (1.5, [0, 1, 2, 3], 1)
+        assert value == cost.max()
+        assert bottleneck(z, w) == bottleneck_bruteforce(z, w)
+
+    def test_empty_pair_needs_no_solve(self, solves):
+        value, col = metrics._bottleneck_value(_cost(Diagram(), Diagram()))
+        assert (value, col.tolist()) == (0.0, [])
+        assert bottleneck(Diagram(), Diagram()) == (0.0, metrics.Matching(()))
+        assert solves == []
+
+    def test_wasserstein(self, solves):
+        z, w = d((0, 4), (1, 3)), d((3, 6), (2, 5))
+        wasserstein_distance(z, w, 2)
+        assert len(solves) == 1
+        wasserstein(z, w, 2)
+        assert len(solves) == 2
 
 
 def integer_diagrams(max_size=5):
