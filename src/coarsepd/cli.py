@@ -168,12 +168,17 @@ def _cmd_gen(args) -> int:
     if args.cube is not None:
         n, radius, samples = _cube_args(*args.cube)
         _check_cap(samples, "SAMPLES = ")
+        _check_cap(n, "N = ")  # each sample is an N-point diagram
+        if not math.isfinite(2.0 * (n + 1) * radius + radius):
+            raise ValueError(f"R must be small enough that 2 (N + 1) R + R is finite, "
+                             f"got {args.cube[1]}")
         out_dir.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng(args.seed)
         points = rng.uniform(0.0, radius, size=(samples, n))
         diagrams = [embed_cube_point(x, radius) for x in points]
         files = _save_diagrams(diagrams, out_dir, "cube")
-        sup = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2, initial=0.0)
+        # a running max over the coordinates needs no (SAMPLES, SAMPLES, N) array
+        sup = functools.reduce(np.maximum, (np.abs(c[:, None] - c) for c in points.T))
         deviation = float(np.abs(distance_matrix(diagrams) - sup).max(initial=0.0))
         _emit({
             "kind": "cube",

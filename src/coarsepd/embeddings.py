@@ -75,7 +75,7 @@ def validate_metric(matrix, labels: Optional[Sequence[str]] = None) -> FiniteMet
         ("non_finite", i, j) for i, j in np.argwhere(~np.isfinite(mat)).tolist()]
     violations += [("nonzero_diagonal", i)
                    for i in np.flatnonzero(np.abs(np.diagonal(mat)) > _TOL).tolist()]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # an overflow to inf compares correctly
         pair = np.stack([np.abs(mat - mat.T) > _TOL, mat < -_TOL, np.abs(mat) <= _TOL],
                         axis=-1)
         pair &= ~np.tri(n, dtype=bool)[:, :, None]
@@ -114,22 +114,22 @@ def embed_finite_metric(X: FiniteMetricSpace, scale: Optional[float] = None) -> 
     n = X.n_points
     if n == 0:
         raise EmptySpace("cannot embed an empty space")
-    if n == 1:
-        return [Diagram()]
     diam = X.diameter
-    if diam <= 0.0:
+    if n > 1 and diam <= 0.0:
         raise DegenerateDiameter("multi-point space with zero diameter")
     rho = diam if scale is None else float(scale)
     if rho < diam:
         raise ValueError("scale must be at least the diameter")
-    out = []
-    for k in range(n):
-        pts = tuple(
-            (3.0 * rho * i, 3.0 * rho * i + 3.0 * rho + float(X.dist[k, i]))
-            for i in range(1, n)
-        )
-        out.append(Diagram(pts))
-    return out
+    return _metric_diagrams(X.dist, rho, 0.0)
+
+
+def _metric_diagrams(dist: np.ndarray, rho: float, off: float) -> list[Diagram]:
+    """``embed_finite_metric``'s diagrams at scale rho, both coordinates shifted by off."""
+    with np.errstate(over="ignore"):  # Diagram rejects an overflow to inf
+        births = 3.0 * rho * np.arange(1, dist.shape[1])
+        deaths = (births + 3.0 * rho + dist[:, 1:] + off).tolist()
+        births = (births + off).tolist()
+    return [Diagram(tuple(zip(births, row))) for row in deaths]
 
 
 def embed_cube_point(x: Sequence[float], R: float) -> Diagram:
@@ -154,7 +154,6 @@ def embed_cube_point(x: Sequence[float], R: float) -> Diagram:
 
 def _cyclic_distance_matrix(k: int, m: int) -> tuple[list[str], np.ndarray]:
     coords = np.array(list(itertools.product(range(k), repeat=m)), dtype=np.int64)
-    coords = coords.reshape(-1, m)
     n = coords.shape[0]
     dist = np.zeros((n, n))
     chunk = max(1, 2 ** 22 // max(n * m, 1))
@@ -167,8 +166,8 @@ def _cyclic_distance_matrix(k: int, m: int) -> tuple[list[str], np.ndarray]:
     return labels, dist
 
 
-def _check_cap(total: int, prefix: str = "") -> None:
-    """Raise TooLarge when total exceeds COARSE_PD_MAX_POINTS (default 4096)."""
+def _check_cap(total: int, prefix: str = "") -> int:
+    """Raise TooLarge when total exceeds COARSE_PD_MAX_POINTS (default 4096); return the cap."""
     raw = os.environ.get("COARSE_PD_MAX_POINTS", "4096")
     try:
         cap = int(raw)
@@ -178,6 +177,15 @@ def _check_cap(total: int, prefix: str = "") -> None:
         raise ValueError(f"COARSE_PD_MAX_POINTS must be a positive integer, got {raw!r}")
     if total > cap:
         raise TooLarge(f"{prefix}{total} points exceeds cap {cap}")
+    return cap
+
+
+def _grid_points(k: int, m: int) -> int:
+    """Size k ** m of (Z_k)^m, built only for k <= cap and, if k > 1, m <= cap.bit_length()."""
+    cap = _check_cap(k, f"{k}^{m} >= ")
+    if k >= 2 and m > cap.bit_length():  # k ** m >= 2 ** m > cap
+        raise TooLarge(f"{k}^{m} points exceeds cap {cap}")
+    return k ** m
 
 
 def zkm_space(k: int, m: int) -> FiniteMetricSpace:
@@ -189,7 +197,7 @@ def zkm_space(k: int, m: int) -> FiniteMetricSpace:
     """
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
-    _check_cap(k ** m, f"{k}^{m} = ")
+    _check_cap(_grid_points(k, m), f"{k}^{m} = ")
     labels, dist = _cyclic_distance_matrix(k, m)
     return FiniteMetricSpace(tuple(labels), dist)
 
@@ -256,8 +264,9 @@ def dranishnikov_S(max_n: int, max_m: int) -> BlockedSpace:
     """
     if max_n < 1 or max_m < 1:
         raise ValueError("max_n and max_m must be >= 1")
+    _check_cap(max_n * max_m, "at least ")  # every block has a point
     dims = [(n, m) for n in range(1, max_n + 1) for m in range(1, max_m + 1)]
-    _check_cap(sum(n ** m for n, m in dims))
+    _check_cap(sum(_grid_points(n, m) for n, m in dims))
     blocks = [zkm_space(n, m) for n, m in dims]
     seps = [float(m + n + 1) for n, m in dims]
     return coarse_disjoint_union(blocks, seps, block_meta=tuple(dims))
@@ -289,37 +298,29 @@ class UnionEmbedding:
 def embed_coarse_union(U: BlockedSpace) -> UnionEmbedding:
     """Embed a coarse disjoint union into diagram space.
 
-    Each block is embedded with inflated scale rho_i = max(diam_i, C),
-    where C is the largest required cross distance, then shifted along the
+    Each block is embedded at scale C, the largest required cross
+    distance, which exceeds every block diameter, and shifted along the
     diagonal into a birth band separated from the neighbouring bands by
     2C.  Every cross-block matching then costs at least min(band gap,
-    1.5 * rho) >= C, so cross bottleneck distances dominate the required
+    1.5 * C) >= C, so cross bottleneck distances dominate the required
     separations; intra-block distances stay exact.  Single-point blocks
-    receive one anchor point of persistence 1.5 * rho in their band
+    receive one anchor point of persistence 1.5 * C in their band
     (an empty diagram would collapse cross distances to zero).
     """
     blocks = U.blocks
-    params = U.block_params
     if len(blocks) == 1:
         diags = embed_finite_metric(blocks[0])
         dev = check_isometry(blocks[0], diags)
         return UnionEmbedding(tuple(diags), dev, ())
-    required = {(i, j): params[i][1] + params[j][1]
+    required = {(i, j): U.block_params[i][1] + U.block_params[j][1]
                 for i, j in itertools.combinations(range(len(blocks)), 2)}
     big_c = max(required.values())
     diagrams: list[Diagram] = []
     off = 0.0
-    for b, (diam, _) in zip(blocks, params):
-        rho = max(diam, big_c)
-        if b.n_points == 1:
-            shifted = [Diagram(((off + 3.0 * rho, off + 6.0 * rho),))]
-        else:
-            shifted = [
-                Diagram(tuple((bb + off, dd + off) for bb, dd in dgm.points))
-                for dgm in embed_finite_metric(b, scale=rho)
-            ]
-        diagrams += shifted
-        off += 3.0 * max(b.n_points - 1, 1) * rho + 2.0 * big_c
+    for b in blocks:
+        # a single point's anchor is the diagram it would get beside a copy of itself
+        diagrams += _metric_diagrams(b.dist if b.n_points > 1 else np.zeros((1, 2)), big_c, off)
+        off += 3.0 * max(b.n_points - 1, 1) * big_c + 2.0 * big_c
     image = distance_matrix(diagrams)
     owner = np.array(U.block_of)
     same = owner[:, None] == owner[None, :]

@@ -184,10 +184,7 @@ def _tight_edges(cost: np.ndarray, sigma: np.ndarray, optimum: float) -> np.ndar
 
 
 def _invert_pairing(phi: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(phi)
-    for i, j in enumerate(phi):
-        inv[j] = i
-    return tuple(inv)
+    return tuple(np.argsort(phi).tolist())
 
 
 def _wasserstein_solve(z: Diagram, w: Diagram, p: float,
@@ -198,8 +195,7 @@ def _wasserstein_solve(z: Diagram, w: Diagram, p: float,
     bitwise symmetric (summation order cannot perturb the last ulp); a
     pairing found for the swapped order is inverted back.
     """
-    # Imported here so that only W_p loads scipy.optimize, and before any
-    # return so that a first call on equal diagrams loads it too.
+    # Imported here so that only W_p loads scipy.optimize.
     from scipy.optimize import linear_sum_assignment
 
     swapped = w.points < z.points
@@ -207,8 +203,6 @@ def _wasserstein_solve(z: Diagram, w: Diagram, p: float,
         z, w = w, z
     cost = _cost(z, w)
     top = float(cost.max(initial=0.0))
-    if top == 0.0:
-        return 0.0, tuple(range(len(cost)))
     powered = (cost / top) ** p
     rows, cols = linear_sum_assignment(powered)
     optimum = float(powered[rows, cols].sum())
@@ -251,8 +245,6 @@ def wasserstein_bruteforce(z: Diagram, w: Diagram, p: float) -> tuple[float, Mat
         return value, Matching(_invert_pairing(m.pairing))
     cost = _oracle_cost(z, w)
     top = float(cost.max(initial=0.0))
-    if top == 0.0:  # both diagrams empty: every point has positive persistence
-        return 0.0, Matching(())
     optimum, phi = min_assignment_sum((cost / top) ** p)
     value = top * optimum ** (1.0 / p)
     return value, Matching(phi)
@@ -280,7 +272,7 @@ def check_coarse_equiv_bounds(z: Diagram, w: Diagram, p: float) -> bool:
     d_b = bottleneck_distance(z, w)
     d_w = wasserstein_distance(z, w, p)
     width = 2 * max(len(z), len(w))
-    factor = width ** (1.0 / p) if width else 0.0
+    factor = width ** (1.0 / p)
     return d_b <= d_w + _TOL and d_w <= factor * d_b + _TOL
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,13 @@ class TestEmbed:
         assert code == 3
         assert "triangle" in err
 
+    def test_overflowing_image_exit1(self, tmp_path, capsys):
+        write_metric(tmp_path / "m.csv", ["x0", "x1"], [[0, 5e307], [5e307, 0]])
+        code = main(["embed", str(tmp_path / "m.csv"), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: non-finite coordinates: (1.5e+308, inf)\n"
+
     def test_eight_point_random_metric(self, tmp_path, capsys, rng):
         from conftest import random_connected_metric
         X = random_connected_metric(rng, 8)
@@ -302,6 +310,7 @@ class TestGen:
         (["2", "0", "0"], "R"), (["2", "-1", "3"], "R"), (["2", "abc", "3"], "R"),
         (["0", "10", "3"], "N"), (["2.5", "10", "3"], "N"),
         (["2", "10", "-1"], "SAMPLES"), (["2", "10", "0"], "SAMPLES"),
+        (["10", "1e307", "2"], "R"),
     ])
     def test_cube_invalid_argument_exit1(self, tmp_path, capsys, cube, name):
         code = main(["gen", "--cube", *cube, "--out", str(tmp_path)])
@@ -310,6 +319,17 @@ class TestGen:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {name} must be ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_cube_sup_distances_need_no_cube_of_differences(self, tmp_path, capsys):
+        # the (SAMPLES, SAMPLES, N) differences alone would take 25.6 MB
+        tracemalloc.start()
+        try:
+            code = main(["gen", "--cube", "20", "10", "400", "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["isometric"] and code == 0
+        assert peak < 20e6
 
     def test_dranishnikov(self, tmp_path, capsys):
         code = main(["gen", "--dranishnikov", "2", "2", "--out", str(tmp_path)])
@@ -338,6 +358,10 @@ class TestGen:
         (["--zkm", "3", "2"], "4", 5),
         (["--dranishnikov", "2", "2"], "4", 5),
         (["--cube", "1", "10", "5"], "4", 5),
+        (["--zkm", "10", "5000"], "4096", 5),
+        (["--dranishnikov", "3", "20000"], "4096", 5),
+        (["--cube", "5000", "10", "1"], "4096", 5),
+        (["--cube", "10", "1e307", "2"], "4096", 1),
     ])
     def test_rejected_arguments_leave_no_directory(self, tmp_path, capsys, monkeypatch,
                                                    gen, cap, code):

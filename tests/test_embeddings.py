@@ -1,5 +1,6 @@
 """Embedding constructions and their solver-verified guarantees."""
 
+import itertools
 import math
 import warnings
 
@@ -62,6 +63,13 @@ class TestValidateMetric:
         assert space.n_points == 2
         assert space.diameter == 1.0
 
+    def test_valid_near_float_max(self):
+        # d(i,k) + d(k,j) overflows to inf, which no entry exceeds
+        mat = np.full((3, 3), 1e308) - np.diag([1e308] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_metric(mat).diameter == 1e308
+
     def test_not_symmetric(self):
         with pytest.raises(MetricValidationError) as err:
             validate_metric([[0, 1], [2, 0]])
@@ -116,6 +124,14 @@ class TestEmbedFiniteMetric:
     def test_single_point(self):
         X = validate_metric([[0.0]])
         assert embed_finite_metric(X) == [Diagram()]
+
+    def test_matches_pointwise_formula(self, rng):
+        X = random_connected_metric(rng, 9)
+        rho = 1.25 * X.diameter
+        want = [Diagram(tuple((3.0 * rho * i, 3.0 * rho * i + 3.0 * rho + float(X.dist[k, i]))
+                              for i in range(1, 9)))
+                for k in range(9)]
+        assert embed_finite_metric(X, scale=rho) == want
 
     def test_three_point_formula_and_isometry(self):
         X = validate_metric([[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]])
@@ -206,6 +222,9 @@ class TestZkm:
         monkeypatch.setenv("COARSE_PD_MAX_POINTS", "4096")
         with pytest.raises(TooLarge):
             zkm_space(10, 5)
+        # 10^5000 is never built: the exponent alone passes the cap
+        with pytest.raises(TooLarge, match="cap 4096$"):
+            zkm_space(10, 5000)
 
     def test_is_metric(self):
         Z = zkm_space(5, 2)
@@ -278,6 +297,8 @@ class TestDranishnikov:
         monkeypatch.setenv("COARSE_PD_MAX_POINTS", "1000")
         with pytest.raises(TooLarge):
             dranishnikov_S(5, 4)
+        with pytest.raises(TooLarge, match="cap 1000$"):
+            dranishnikov_S(3, 20000)
 
 
 class TestEmbedCoarseUnion:
@@ -300,6 +321,24 @@ class TestEmbedCoarseUnion:
         emb = embed_coarse_union(U)
         assert emb.intra_max_deviation <= 1e-9
         assert emb.cross == ()
+
+    def test_blocks_are_shifted_embeddings_at_scale_c(self):
+        U = dranishnikov_S(3, 2)
+        emb = embed_coarse_union(U)
+        big_c = max(ci + cj for (_, ci), (_, cj)
+                    in itertools.combinations(U.block_params, 2))
+        start, off = 0, 0.0
+        for b in U.blocks:
+            got = emb.diagrams[start:start + b.n_points]
+            if b.n_points == 1:
+                want = [((off + 3.0 * big_c, off + 6.0 * big_c),)]
+            else:
+                want = [tuple((x + off, y + off) for x, y in dgm.points)
+                        for dgm in embed_finite_metric(b, scale=big_c)]
+            assert [dgm.points for dgm in got] == want
+            start += b.n_points
+            off += 3.0 * max(b.n_points - 1, 1) * big_c + 2.0 * big_c
+        assert start == len(emb.diagrams)
 
     def test_truncated_union_z2_z3(self):
         b1 = zkm_space(2, 1)

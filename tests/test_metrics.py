@@ -105,7 +105,8 @@ class TestWasserstein:
 
     def test_empty(self):
         for p in (1, 2, 7.5):
-            assert wasserstein(Diagram(), Diagram(), p)[0] == 0.0
+            assert wasserstein(Diagram(), Diagram(), p) == (0.0, metrics.Matching(()))
+            assert wasserstein_bruteforce(Diagram(), Diagram(), p) == (0.0, metrics.Matching(()))
 
     def test_persistence_underflows_to_zero(self):
         # (5e-324 - 0) / 2 rounds to 0.0, which would put the point at
