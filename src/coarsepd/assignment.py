@@ -112,10 +112,7 @@ def _min_assignment(cost: np.ndarray, combine) -> list[float]:
     full = 1 << n
     h = [0.0] * full
     for S in range(full - 2, -1, -1):
-        i = S.bit_count()
-        if i >= n:
-            continue
-        row = rows[i]
+        row = rows[S.bit_count()]  # S < full - 1 leaves a column free
         best = math.inf
         for j in range(n):
             if S >> j & 1:

@@ -27,7 +27,7 @@ from .cover import (
 )
 from .diagram import Diagram
 from .embeddings import _check_cap, check_isometry, dranishnikov_S, embed_coarse_union, \
-    embed_cube_point, embed_finite_metric, zkm_space
+    embed_cube_point, embed_finite_metric, isometry_tolerance, zkm_space
 from .errors import (
     CoarsePDError,
     MetricValidationError,
@@ -53,8 +53,6 @@ EXIT_METRIC = 3
 EXIT_COVER = 4
 EXIT_TOO_LARGE = 5
 EXIT_DEVIATION = 6
-
-ISOMETRY_TOL = 1e-9
 
 
 def _sig12(value: float) -> str:
@@ -109,14 +107,15 @@ def _cmd_embed(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     files = _save_diagrams(diagrams, out_dir, "diagram")
     deviation = check_isometry(space, diagrams)
+    tol = isometry_tolerance(diagrams)
     _emit({
         "points": space.n_points,
         "files": files,
         "max_deviation": deviation,
-        "tolerance": ISOMETRY_TOL,
-        "isometric": deviation <= ISOMETRY_TOL,
+        "tolerance": tol,
+        "isometric": deviation <= tol,
     })
-    return EXIT_OK if deviation <= ISOMETRY_TOL else EXIT_DEVIATION
+    return EXIT_OK if deviation <= tol else EXIT_DEVIATION
 
 
 def _cmd_cover(args) -> int:
@@ -180,6 +179,7 @@ def _cmd_gen(args) -> int:
         # a running max over the coordinates needs no (SAMPLES, SAMPLES, N) array
         sup = functools.reduce(np.maximum, (np.abs(c[:, None] - c) for c in points.T))
         deviation = float(np.abs(distance_matrix(diagrams) - sup).max(initial=0.0))
+        tol = isometry_tolerance(diagrams)
         _emit({
             "kind": "cube",
             "n": n,
@@ -187,9 +187,9 @@ def _cmd_gen(args) -> int:
             "samples": samples,
             "files": files,
             "max_bottleneck_deviation": deviation,
-            "isometric": deviation <= ISOMETRY_TOL,
+            "isometric": deviation <= tol,
         })
-        return EXIT_OK if deviation <= ISOMETRY_TOL else EXIT_DEVIATION
+        return EXIT_OK if deviation <= tol else EXIT_DEVIATION
     max_n, max_m = args.dranishnikov
     blocked = dranishnikov_S(max_n, max_m)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -213,7 +213,7 @@ def _cmd_gen(args) -> int:
             "required_bound": required_bound,
             "strictly_above_bound": strict,
         })
-    ok = (embedding.intra_max_deviation <= ISOMETRY_TOL
+    ok = (embedding.intra_max_deviation <= isometry_tolerance(embedding.diagrams)
           and embedding.cross_ok and bounds_ok)
     _emit({
         "kind": "dranishnikov",

@@ -103,13 +103,21 @@ def check_isometry(X: FiniteMetricSpace, diagrams: Sequence[Diagram]) -> float:
     return float(np.abs(image[iu] - X.dist[iu]).max(initial=0.0))
 
 
-def embed_finite_metric(X: FiniteMetricSpace, scale: Optional[float] = None) -> list[Diagram]:
+def isometry_tolerance(diagrams: Sequence[Diagram]) -> float:
+    """Rounding slack of an isometric image: max(1e-9, 8 ulp(top)), top the largest death."""
+    # Matched image points share their birth and the rounded part of their death that does
+    # not depend on the source point, so each death has at most two more roundings of
+    # ulp(top) / 2: a cost checked against the source distance is off by at most 3 ulp(top).
+    top = max((d for dgm in diagrams for _, d in dgm.points), default=0.0)
+    return max(_TOL, 8.0 * float(np.spacing(top)))
+
+
+def embed_finite_metric(X: FiniteMetricSpace) -> list[Diagram]:
     """Isometric embedding of a finite metric space into diagram space.
 
     Point x_k maps to the diagram {(3*rho*i, 3*rho*i + 3*rho + d(x_k, x_i))
-    for i = 1..n} where rho defaults to the diameter.  Any scale >= the
-    diameter preserves the isometry; the coarse-union embedder relies on
-    that freedom.  A single-point space maps to one empty diagram.
+    for i = 1..n} where rho is the diameter.  A single-point space maps to
+    one empty diagram.
     """
     n = X.n_points
     if n == 0:
@@ -117,10 +125,7 @@ def embed_finite_metric(X: FiniteMetricSpace, scale: Optional[float] = None) -> 
     diam = X.diameter
     if n > 1 and diam <= 0.0:
         raise DegenerateDiameter("multi-point space with zero diameter")
-    rho = diam if scale is None else float(scale)
-    if rho < diam:
-        raise ValueError("scale must be at least the diameter")
-    return _metric_diagrams(X.dist, rho, 0.0)
+    return _metric_diagrams(X.dist, diam, 0.0)
 
 
 def _metric_diagrams(dist: np.ndarray, rho: float, off: float) -> list[Diagram]:
@@ -181,10 +186,12 @@ def _check_cap(total: int, prefix: str = "") -> int:
 
 
 def _grid_points(k: int, m: int) -> int:
-    """Size k ** m of (Z_k)^m, built only for k <= cap and, if k > 1, m <= cap.bit_length()."""
+    """Size k ** m of (Z_k)^m, built only for k, m <= cap and, if k > 1, m <= cap.bit_length()."""
     cap = _check_cap(k, f"{k}^{m} >= ")
     if k >= 2 and m > cap.bit_length():  # k ** m >= 2 ** m > cap
         raise TooLarge(f"{k}^{m} points exceeds cap {cap}")
+    if m > cap:  # (Z_1)^m has one point, but its label has m coordinates
+        raise TooLarge(f"M = {m} exceeds cap {cap}")
     return k ** m
 
 
@@ -239,8 +246,6 @@ def coarse_disjoint_union(blocks: Sequence[FiniteMetricSpace],
     params = tuple((b.diameter, b.diameter + s) for b, s in zip(blocks, seps))
     sizes = [b.n_points for b in blocks]
     block_of = tuple(bi for bi, sz in enumerate(sizes) for _ in range(sz))
-    if len(blocks) == 1:
-        return BlockedSpace(blocks[0], tuple(blocks), block_of, params, block_meta)
     radius = np.array([c for _, c in params])[list(block_of)]
     dist = radius[:, None] + radius[None, :]
     offsets = np.cumsum([0] + sizes)
@@ -298,23 +303,19 @@ class UnionEmbedding:
 def embed_coarse_union(U: BlockedSpace) -> UnionEmbedding:
     """Embed a coarse disjoint union into diagram space.
 
-    Each block is embedded at scale C, the largest required cross
-    distance, which exceeds every block diameter, and shifted along the
-    diagonal into a birth band separated from the neighbouring bands by
-    2C.  Every cross-block matching then costs at least min(band gap,
-    1.5 * C) >= C, so cross bottleneck distances dominate the required
-    separations; intra-block distances stay exact.  Single-point blocks
-    receive one anchor point of persistence 1.5 * C in their band
-    (an empty diagram would collapse cross distances to zero).
+    Each block is embedded at scale C, the largest required cross distance
+    or, with one block, its own c_0 = diam + s; either way C exceeds every
+    block diameter.  Blocks are shifted along the diagonal into birth bands
+    separated by 2C.  Every cross-block matching then costs at least
+    min(band gap, 1.5 * C) >= C, so cross bottleneck distances dominate
+    the required separations; intra-block distances stay exact.  A
+    single-point block gets one anchor point of persistence 1.5 * C in its
+    band (an empty diagram would collapse cross distances to zero).
     """
     blocks = U.blocks
-    if len(blocks) == 1:
-        diags = embed_finite_metric(blocks[0])
-        dev = check_isometry(blocks[0], diags)
-        return UnionEmbedding(tuple(diags), dev, ())
     required = {(i, j): U.block_params[i][1] + U.block_params[j][1]
                 for i, j in itertools.combinations(range(len(blocks)), 2)}
-    big_c = max(required.values())
+    big_c = max(required.values(), default=U.block_params[0][1])
     diagrams: list[Diagram] = []
     off = 0.0
     for b in blocks:

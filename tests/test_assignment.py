@@ -59,6 +59,12 @@ class TestSubsetProgramMatchesEnumeration:
         assert min_assignment_sum(cost)[1] == (0, 1, 2, 3)
         assert min_assignment_max(cost)[1] == (0, 1, 2, 3)
 
+    @pytest.mark.parametrize("solve", [min_assignment_sum, min_assignment_max])
+    def test_more_than_20_rows_rejected(self, solve):
+        # the table would hold 2^21 entries
+        with pytest.raises(ValueError, match="^subset DP limited to n <= 20$"):
+            solve(np.zeros((21, 21)))
+
     def test_empty(self):
         empty = np.zeros((0, 0))
         assert min_assignment_sum(empty) == (0.0, ())

@@ -37,6 +37,12 @@ def write_metric(path, labels, matrix):
     path.write_text("\n".join(rows) + "\n")
 
 
+def write_line_metric(path):
+    """The line metric on {0.1, 3.3e6, 7.7e6, 9.9e6}, whose image deaths reach 1.3e8."""
+    xs = [0.1, 3.3e6, 7.7e6, 9.9e6]
+    write_metric(path, ["a", "b", "c", "d"], [[abs(x - y) for y in xs] for x in xs])
+
+
 def save_diagrams(directory, diagrams):
     files = [str(directory / f"d{k}.json") for k in range(len(diagrams))]
     for dgm, path in zip(diagrams, files):
@@ -70,6 +76,20 @@ class TestRoundTrip:
         loaded = cpio.load_metric(path)
         assert loaded.labels == space.labels
         assert np.array_equal(loaded.dist, space.dist)
+
+    @pytest.mark.parametrize("name,body,message", [
+        ("d.json", "[]", "expected a JSON object with a 'points' key"),
+        ("d.json", "{}", "expected a JSON object with a 'points' key"),
+        ("m.csv", "a,b\n", "expected a label row plus matrix rows"),
+        ("m.csv", "a,b\n0,1\n1\n", "matrix shape does not match label count"),
+    ])
+    def test_malformed_file_names_the_problem(self, tmp_path, name, body, message):
+        path = tmp_path / name
+        path.write_text(body)
+        load = cpio.load_diagram if name.endswith(".json") else cpio.load_metric
+        with pytest.raises(ValueError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_load_canonicalizes_order(self, tmp_path):
         path = tmp_path / "d.json"
@@ -208,6 +228,26 @@ class TestEmbed:
         assert code == 1 and captured.out == ""
         assert captured.err == "error: non-finite coordinates: (1.5e+308, inf)\n"
 
+    def test_large_line_metric_isometric(self, tmp_path, capsys):
+        # the ulp of 1.3e8 (1.5e-8) alone is above 1e-9
+        write_line_metric(tmp_path / "m.csv")
+        code = main(["embed", str(tmp_path / "m.csv"), "--out", str(tmp_path / "out")])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["isometric"] is True
+        assert 1e-9 < out["max_deviation"] <= out["tolerance"] < 1e-6
+
+    def test_moved_death_is_not_isometric(self, tmp_path, capsys, monkeypatch):
+        write_line_metric(tmp_path / "m.csv")
+        diagrams = embed_finite_metric(cpio.load_metric(tmp_path / "m.csv"))
+        # x_1's own point sits at distance 0; lowering it moves d_B(x_0, x_1) up by 1e-3
+        (b, d), *rest = diagrams[1].points
+        diagrams[1] = Diagram(((b, d - 1e-3), *rest))
+        monkeypatch.setattr(cli, "embed_finite_metric", lambda space: diagrams)
+        code = main(["embed", str(tmp_path / "m.csv"), "--out", str(tmp_path / "out")])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 6 and out["isometric"] is False
+        assert out["max_deviation"] > 1e-4 > out["tolerance"]
+
     def test_eight_point_random_metric(self, tmp_path, capsys, rng):
         from conftest import random_connected_metric
         X = random_connected_metric(rng, 8)
@@ -298,6 +338,13 @@ class TestGen:
         assert out["max_bottleneck_deviation"] <= 1e-9
         assert len(out["files"]) == 20
 
+    def test_cube_large_radius_isometric(self, tmp_path, capsys):
+        # deaths reach 9e6, whose ulp (1.9e-9) alone is above 1e-9
+        code = main(["gen", "--cube", "3", "1e6", "20", "--out", str(tmp_path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["isometric"] is True
+        assert out["max_bottleneck_deviation"] > 1e-9
+
     @pytest.mark.parametrize("radius", ["inf", "nan"])
     def test_cube_nonfinite_radius_exit1(self, tmp_path, capsys, radius):
         code = main(["gen", "--cube", "2", radius, "3", "--out", str(tmp_path)])
@@ -337,6 +384,14 @@ class TestGen:
         assert code == 0 and out["ok"]
         assert all(c["strictly_above_bound"] for c in out["cross"])
 
+    def test_dranishnikov_one_block(self, tmp_path, capsys):
+        code = main(["gen", "--dranishnikov", "1", "1", "--out", str(tmp_path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["ok"] is True and out["cross"] == []
+        assert (tmp_path / "dranishnikov_1_1.csv").read_bytes() == b"0:0\r\n0.0\r\n"
+        # C = diam + s = 0 + (1 + 1 + 1), so the anchor is (3C, 6C)
+        assert json.loads(Path(out["diagram_files"][0]).read_text()) == {"points": [[9.0, 18.0]]}
+
     def test_too_large_exit5(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COARSE_PD_MAX_POINTS", "10")
         code = main(["gen", "--zkm", "10", "2", "--out", str(tmp_path)])
@@ -362,6 +417,7 @@ class TestGen:
         (["--dranishnikov", "3", "20000"], "4096", 5),
         (["--cube", "5000", "10", "1"], "4096", 5),
         (["--cube", "10", "1e307", "2"], "4096", 1),
+        (["--zkm", "1", "99999999999"], "4096", 5),
     ])
     def test_rejected_arguments_leave_no_directory(self, tmp_path, capsys, monkeypatch,
                                                    gen, cap, code):

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coarsepd import (
+    DegenerateDiameter,
     Diagram,
+    EmptySpace,
+    FiniteMetricSpace,
     MetricValidationError,
     NonpositiveSeparation,
     OutOfCube,
@@ -70,6 +73,14 @@ class TestValidateMetric:
             warnings.simplefilter("error")
             assert validate_metric(mat).diameter == 1e308
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            validate_metric(np.zeros((2, 3)))
+
+    def test_shape_must_match_labels(self):
+        with pytest.raises(ValueError, match="^distance matrix shape does not match labels$"):
+            FiniteMetricSpace(("a", "b"), np.zeros((3, 3)))
+
     def test_not_symmetric(self):
         with pytest.raises(MetricValidationError) as err:
             validate_metric([[0, 1], [2, 0]])
@@ -127,11 +138,20 @@ class TestEmbedFiniteMetric:
 
     def test_matches_pointwise_formula(self, rng):
         X = random_connected_metric(rng, 9)
-        rho = 1.25 * X.diameter
+        rho = X.diameter
         want = [Diagram(tuple((3.0 * rho * i, 3.0 * rho * i + 3.0 * rho + float(X.dist[k, i]))
                               for i in range(1, 9)))
                 for k in range(9)]
-        assert embed_finite_metric(X, scale=rho) == want
+        assert embed_finite_metric(X) == want
+
+    def test_empty_space_rejected(self):
+        with pytest.raises(EmptySpace, match="^cannot embed an empty space$"):
+            embed_finite_metric(FiniteMetricSpace((), np.zeros((0, 0))))
+
+    def test_zero_diameter_rejected(self):
+        # validate_metric would reject the zero off-diagonal entry first
+        with pytest.raises(DegenerateDiameter, match="^multi-point space with zero diameter$"):
+            embed_finite_metric(FiniteMetricSpace(("a", "b"), np.zeros((2, 2))))
 
     def test_three_point_formula_and_isometry(self):
         X = validate_metric([[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]])
@@ -185,6 +205,11 @@ class TestEmbedCube:
         b = embed_cube_point([3.0], 5.0)
         assert bottleneck(a, b)[0] == 3.0
 
+    @pytest.mark.parametrize("R", [0.0, -1.0])
+    def test_nonpositive_radius(self, R):
+        with pytest.raises(ValueError, match="^R must be positive$"):
+            embed_cube_point([0.0], R)
+
     def test_out_of_cube(self):
         with pytest.raises(OutOfCube):
             embed_cube_point([6.0], 5.0)
@@ -225,6 +250,15 @@ class TestZkm:
         # 10^5000 is never built: the exponent alone passes the cap
         with pytest.raises(TooLarge, match="cap 4096$"):
             zkm_space(10, 5000)
+        # (Z_1)^m has one point, but its label would have m coordinates
+        with pytest.raises(TooLarge, match="^M = 100000000000 exceeds cap 4096$"):
+            zkm_space(1, 10**11)
+        assert zkm_space(1, 4096).n_points == 1
+
+    @pytest.mark.parametrize("k,m", [(0, 1), (1, 0), (-2, 3)])
+    def test_nonpositive_arguments(self, k, m):
+        with pytest.raises(ValueError, match="^k and m must be >= 1$"):
+            zkm_space(k, m)
 
     def test_is_metric(self):
         Z = zkm_space(5, 2)
@@ -253,10 +287,22 @@ class TestCoarseDisjointUnion:
         cross = U.block_params[0][1] + U.block_params[1][1]
         assert np.all(dist[:289, 289:] == cross) and np.all(dist[289:, :289] == cross)
 
-    def test_single_block_passthrough(self):
-        b = validate_metric([[0, 1], [1, 0]])
+    def test_single_block_is_a_union_like_any_other(self):
+        b = validate_metric([[0, 1], [1, 0]], ["p", "q"])
         U = coarse_disjoint_union([b], [1.0])
-        assert U.space is b
+        assert U.space.labels == ("0:p", "0:q")
+        assert U.space.dist.tobytes() == b.dist.tobytes()
+        assert U.block_of == (0, 0) and U.block_params == ((1.0, 2.0),)
+
+    @pytest.mark.parametrize("n_blocks,seps,message", [
+        (0, [], "need at least one block"),
+        (2, [1.0], "one separation per block required"),
+        (1, [1.0, 1.0], "one separation per block required"),
+    ])
+    def test_block_and_separation_counts(self, n_blocks, seps, message):
+        b = validate_metric([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            coarse_disjoint_union([b] * n_blocks, seps)
 
     def test_nonpositive_separation(self):
         b = validate_metric([[0, 1], [1, 0]])
@@ -300,6 +346,11 @@ class TestDranishnikov:
         with pytest.raises(TooLarge, match="cap 1000$"):
             dranishnikov_S(3, 20000)
 
+    @pytest.mark.parametrize("max_n,max_m", [(0, 1), (1, 0)])
+    def test_nonpositive_arguments(self, max_n, max_m):
+        with pytest.raises(ValueError, match="^max_n and max_m must be >= 1$"):
+            dranishnikov_S(max_n, max_m)
+
 
 class TestEmbedCoarseUnion:
     def test_two_blocks_cross_bound(self):
@@ -321,6 +372,8 @@ class TestEmbedCoarseUnion:
         emb = embed_coarse_union(U)
         assert emb.intra_max_deviation <= 1e-9
         assert emb.cross == ()
+        # no cross distances: the scale is the block's own c_0 = 1 + 1
+        assert [dgm.points for dgm in emb.diagrams] == [((6.0, 13.0),), ((6.0, 12.0),)]
 
     def test_blocks_are_shifted_embeddings_at_scale_c(self):
         U = dranishnikov_S(3, 2)
@@ -333,8 +386,11 @@ class TestEmbedCoarseUnion:
             if b.n_points == 1:
                 want = [((off + 3.0 * big_c, off + 6.0 * big_c),)]
             else:
-                want = [tuple((x + off, y + off) for x, y in dgm.points)
-                        for dgm in embed_finite_metric(b, scale=big_c)]
+                # (3Ci + off, 3Ci + 3C + d(x_k, x_i) + off) for i = 1..n-1
+                want = [tuple((3.0 * big_c * i + off,
+                               3.0 * big_c * i + 3.0 * big_c + float(b.dist[k, i]) + off)
+                              for i in range(1, b.n_points))
+                        for k in range(b.n_points)]
             assert [dgm.points for dgm in got] == want
             start += b.n_points
             off += 3.0 * max(b.n_points - 1, 1) * big_c + 2.0 * big_c

@@ -17,6 +17,7 @@ from coarsepd import (
     Diagram,
     InvalidExponent,
     InvalidPoint,
+    Matching,
     OversizeForOracle,
     augment,
     bottleneck,
@@ -267,6 +268,11 @@ class TestMatchingOutput:
         pairs = describe_matching(z, w, matching)
         assert (0, None) in pairs and (None, 0) in pairs
         assert all(a is not None or b is not None for a, b in pairs)
+
+    @pytest.mark.parametrize("pairing", [(0, 0), (1,), (0, 2)])
+    def test_non_permutation_rejected(self, pairing):
+        with pytest.raises(ValueError, match="^pairing is not a permutation$"):
+            Matching(pairing)
 
     def test_pairing_is_permutation(self, rng):
         z = random_diagram(rng, max_size=4)

@@ -95,6 +95,12 @@ class TestProfileMap:
         with pytest.raises(EmptySpace):
             profile_map(X, [[0.0]])
 
+    @pytest.mark.parametrize("bin_width", [0.0, -1.0])
+    def test_nonpositive_bin_width(self, rng, bin_width):
+        X = random_connected_metric(rng, 4)
+        with pytest.raises(ValueError, match="^bin_width must be positive$"):
+            profile_map(X, X.dist, bin_width=bin_width)
+
     def test_shape_mismatch(self, rng):
         X = random_connected_metric(rng, 4)
         with pytest.raises(SizeMismatch):
