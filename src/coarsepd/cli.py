@@ -27,7 +27,7 @@ from .cover import (
 )
 from .diagram import Diagram
 from .embeddings import _check_cap, check_isometry, dranishnikov_S, embed_coarse_union, \
-    embed_cube_point, embed_finite_metric, isometry_tolerance, zkm_space
+    embed_cube_point, embed_finite_metric, isometry_tolerance, sup_distances, zkm_space
 from .errors import (
     CoarsePDError,
     MetricValidationError,
@@ -176,8 +176,7 @@ def _cmd_gen(args) -> int:
         points = rng.uniform(0.0, radius, size=(samples, n))
         diagrams = [embed_cube_point(x, radius) for x in points]
         files = _save_diagrams(diagrams, out_dir, "cube")
-        # a running max over the coordinates needs no (SAMPLES, SAMPLES, N) array
-        sup = functools.reduce(np.maximum, (np.abs(c[:, None] - c) for c in points.T))
+        sup = sup_distances(points)
         deviation = float(np.abs(distance_matrix(diagrams) - sup).max(initial=0.0))
         tol = isometry_tolerance(diagrams)
         _emit({

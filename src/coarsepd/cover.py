@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .diagram import DELTA, Point
+from .metrics import rounding_slack
 
 
 @dataclass
@@ -215,6 +216,7 @@ def verify_cover(sampler: tuple[Sampler, Perturber],
     sample, perturb = sampler
     rng = np.random.default_rng(seed)
     scale = 3.0 * uniform_bound
+    limit = uniform_bound + rounding_slack(uniform_bound)
     min_cross = math.inf
     max_diam = 0.0
     violations: list = []
@@ -256,7 +258,7 @@ def verify_cover(sampler: tuple[Sampler, Perturber],
         same_set = (lx[:, pair] == ly[:, pair]).all(axis=0)
         max_diam = float(dist[same_set].max(initial=max_diam))
         min_cross = float(dist[~same_set].min(initial=min_cross))
-        bad = np.where(same_set, dist > uniform_bound + 1e-9, dist <= R)
+        bad = np.where(same_set, dist > limit, dist <= R)
         for k in np.flatnonzero(bad)[:MAX_RECORDED_VIOLATIONS - len(violations)]:
             kind = "diameter_exceeded" if same_set[k] else "sets_too_close"
             violations.append((kind, _as_point(x[..., k]), _as_point(y[..., k]),

@@ -9,6 +9,7 @@ scale and spacing the blocks along the diagonal.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -25,17 +26,14 @@ from .errors import (
     SizeMismatch,
     TooLarge,
 )
-from .metrics import distance_matrix
+from .metrics import distance_matrix, rounding_slack
 
-_VALIDATE_UNION_MAX = 512
-# Slack for rounding in the metric axioms and in cross separations.
-_TOL = 1e-9
 _PAIR_KINDS = ("not_symmetric", "negative", "zero_off_diagonal")
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
-    """Labeled point set with a validated distance matrix."""
+    """Labeled point set with a distance matrix; only validate_metric checks the axioms."""
 
     labels: tuple[str, ...]
     dist: np.ndarray
@@ -60,7 +58,10 @@ class FiniteMetricSpace:
 def validate_metric(matrix, labels: Optional[Sequence[str]] = None) -> FiniteMetricSpace:
     """Check all metric axioms, collecting every violation with a witness.
 
-    Entries pass within _TOL (1e-9) of an axiom.  Raises
+    The symmetric and triangle checks allow rounding_slack of the largest
+    finite |entry|, as one scalar: d(i,j) fails only when it exceeds
+    (d(i,k) + d(k,j)) + slack.  An entry counts as zero within 1e-9, the
+    rounding_slack of every value that small.  Raises
     MetricValidationError listing violations: non_finite, then
     nonzero_diagonal, then the per-pair kinds, then triangle by k; the
     error class gives the exact order and the witness tuples.
@@ -73,18 +74,21 @@ def validate_metric(matrix, labels: Optional[Sequence[str]] = None) -> FiniteMet
         labels = [f"x{i}" for i in range(n)]
     violations: list[tuple] = [
         ("non_finite", i, j) for i, j in np.argwhere(~np.isfinite(mat)).tolist()]
+    # |x| <= rounding_slack(x) only for |x| <= 1e-9, as |x| > 8 ulp(|x|) for x != 0
+    zero = rounding_slack(0.0)
+    slack = rounding_slack(np.abs(mat[np.isfinite(mat)]).max(initial=0.0))
     violations += [("nonzero_diagonal", i)
-                   for i in np.flatnonzero(np.abs(np.diagonal(mat)) > _TOL).tolist()]
+                   for i in np.flatnonzero(np.abs(np.diagonal(mat)) > zero).tolist()]
     with np.errstate(invalid="ignore", over="ignore"):  # an overflow to inf compares correctly
-        pair = np.stack([np.abs(mat - mat.T) > _TOL, mat < -_TOL, np.abs(mat) <= _TOL],
+        pair = np.stack([np.abs(mat - mat.T) > slack, mat < -zero, np.abs(mat) <= zero],
                         axis=-1)
         pair &= ~np.tri(n, dtype=bool)[:, :, None]
         violations += [(_PAIR_KINDS[c], i, j) for i, j, c in np.argwhere(pair).tolist()]
         via, bad = np.empty_like(mat), np.empty(mat.shape, dtype=bool)
-        for k in range(n):  # via = (d(i,k) + d(k,j)) + _TOL, faster than broadcasting
+        for k in range(n):  # via = (d(i,k) + d(k,j)) + slack, faster than broadcasting
             np.copyto(via, mat[k])
             via += mat[:, k, None]
-            via += _TOL
+            via += slack
             np.greater(mat, via, out=bad)
             if bad.any():
                 violations += [("triangle", i, j, k) for i, j in np.argwhere(bad).tolist()
@@ -104,12 +108,8 @@ def check_isometry(X: FiniteMetricSpace, diagrams: Sequence[Diagram]) -> float:
 
 
 def isometry_tolerance(diagrams: Sequence[Diagram]) -> float:
-    """Rounding slack of an isometric image: max(1e-9, 8 ulp(top)), top the largest death."""
-    # Matched image points share their birth and the rounded part of their death that does
-    # not depend on the source point, so each death has at most two more roundings of
-    # ulp(top) / 2: a cost checked against the source distance is off by at most 3 ulp(top).
-    top = max((d for dgm in diagrams for _, d in dgm.points), default=0.0)
-    return max(_TOL, 8.0 * float(np.spacing(top)))
+    """Rounding slack of an isometric image: rounding_slack(top), top the largest death."""
+    return rounding_slack(max((d for dgm in diagrams for _, d in dgm.points), default=0.0))
 
 
 def embed_finite_metric(X: FiniteMetricSpace) -> list[Diagram]:
@@ -157,22 +157,21 @@ def embed_cube_point(x: Sequence[float], R: float) -> Diagram:
     return Diagram(pts)
 
 
-def _cyclic_distance_matrix(k: int, m: int) -> tuple[list[str], np.ndarray]:
-    coords = np.array(list(itertools.product(range(k), repeat=m)), dtype=np.int64)
-    n = coords.shape[0]
-    dist = np.zeros((n, n))
-    chunk = max(1, 2 ** 22 // max(n * m, 1))
-    for start in range(0, n, chunk):
-        block = coords[start:start + chunk]
-        diff = np.abs(block[:, None, :] - coords[None, :, :])
-        cyc = np.minimum(diff, k - diff)
-        dist[start:start + chunk] = cyc.max(axis=2)
-    labels = ["-".join(str(c) for c in row) for row in coords]
-    return labels, dist
+def sup_distances(coords, period: float = math.inf) -> np.ndarray:
+    """max over i of min(|x_i - y_i|, period - |x_i - y_i|), for all pairs of rows x, y of coords.
+
+    A running max over the columns, so no (n, n, m) array is built.
+    """
+    dist = np.zeros((len(coords),) * 2)
+    for col in coords.T:  # in place, so that at most two (n, n) arrays sit beside dist
+        diff = col[:, None] - col
+        np.abs(diff, out=diff)
+        np.maximum(dist, np.minimum(diff, period - diff, out=diff), out=dist)
+    return dist
 
 
-def _check_cap(total: int, prefix: str = "") -> int:
-    """Raise TooLarge when total exceeds COARSE_PD_MAX_POINTS (default 4096); return the cap."""
+def _point_cap() -> int:
+    """COARSE_PD_MAX_POINTS (default 4096), the cap on generated points and on profile bins."""
     raw = os.environ.get("COARSE_PD_MAX_POINTS", "4096")
     try:
         cap = int(raw)
@@ -180,6 +179,12 @@ def _check_cap(total: int, prefix: str = "") -> int:
         cap = 0
     if cap < 1:
         raise ValueError(f"COARSE_PD_MAX_POINTS must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _check_cap(total: int, prefix: str = "") -> int:
+    """Raise TooLarge when total exceeds the point cap; return the cap."""
+    cap = _point_cap()
     if total > cap:
         raise TooLarge(f"{prefix}{total} points exceeds cap {cap}")
     return cap
@@ -205,8 +210,9 @@ def zkm_space(k: int, m: int) -> FiniteMetricSpace:
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
     _check_cap(_grid_points(k, m), f"{k}^{m} = ")
-    labels, dist = _cyclic_distance_matrix(k, m)
-    return FiniteMetricSpace(tuple(labels), dist)
+    coords = np.array(list(itertools.product(range(k), repeat=m)), dtype=np.int32)
+    labels = ["-".join(str(c) for c in row) for row in coords]
+    return FiniteMetricSpace(tuple(labels), sup_distances(coords, period=k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,10 +236,11 @@ def coarse_disjoint_union(blocks: Sequence[FiniteMetricSpace],
                           block_meta: tuple = ()) -> BlockedSpace:
     """Assemble a coarse disjoint union with cross distances c_i + c_j.
 
-    separations are the strictly positive slacks s_i added to each block's
-    diameter; the resulting cross distances exceed both blocks' diameters
-    by construction, and the sum form keeps the triangle inequality for
-    heterogeneous blocks.
+    c_i = diam_i + s_i, from strictly positive separations s_i that keep
+    2 max c_i finite.  A union of metric blocks is then a metric, exactly,
+    so it is not validated again: cross entries are symmetric, positive and
+    c_i + c_j >= diam_i, and as float addition is monotone, c_i + c_j <=
+    d(x, y) + (c_i + c_j) and c_i + c_j <= (c_i + c_k) + (c_k + c_j).
     """
     blocks = list(blocks)
     if not blocks:
@@ -241,9 +248,9 @@ def coarse_disjoint_union(blocks: Sequence[FiniteMetricSpace],
     if len(separations) != len(blocks):
         raise ValueError("one separation per block required")
     seps = [float(s) for s in separations]
-    if any(s <= 0.0 for s in seps):
-        raise NonpositiveSeparation(f"separations must be > 0, got {seps}")
     params = tuple((b.diameter, b.diameter + s) for b, s in zip(blocks, seps))
+    if not (all(s > 0.0 for s in seps) and math.isfinite(2.0 * max(c for _, c in params))):
+        raise NonpositiveSeparation(f"separations must be > 0 with 2 max c_i finite, got {seps}")
     sizes = [b.n_points for b in blocks]
     block_of = tuple(bi for bi, sz in enumerate(sizes) for _ in range(sz))
     radius = np.array([c for _, c in params])[list(block_of)]
@@ -252,10 +259,7 @@ def coarse_disjoint_union(blocks: Sequence[FiniteMetricSpace],
     for bi, b in enumerate(blocks):
         dist[offsets[bi]:offsets[bi + 1], offsets[bi]:offsets[bi + 1]] = b.dist
     labels = [f"{bi}:{lab}" for bi, b in enumerate(blocks) for lab in b.labels]
-    if len(labels) <= _VALIDATE_UNION_MAX:
-        space = validate_metric(dist, labels)
-    else:
-        space = FiniteMetricSpace(tuple(labels), dist)
+    space = FiniteMetricSpace(tuple(labels), dist)
     return BlockedSpace(space, tuple(blocks), block_of, params, block_meta)
 
 
@@ -297,7 +301,7 @@ class UnionEmbedding:
 
     @property
     def cross_ok(self) -> bool:
-        return all(c.realized_min >= c.required - _TOL for c in self.cross)
+        return all(c.realized_min >= c.required - rounding_slack(c.required) for c in self.cross)
 
 
 def embed_coarse_union(U: BlockedSpace) -> UnionEmbedding:

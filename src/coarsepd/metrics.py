@@ -40,7 +40,6 @@ from .errors import InvalidExponent, OversizeForOracle
 
 ORACLE_MAX_WIDTH = 10
 _BLOCK_ENTRIES = 2 ** 22  # largest (pairs, K, K) cost block of distance_matrix
-_TOL = 1e-9  # rounding slack of check_coarse_equiv_bounds
 
 
 @dataclass(frozen=True)
@@ -266,14 +265,28 @@ def bottleneck_1pt_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(a_delta, pb, np.where(b_delta, pa, direct))
 
 
+def rounding_slack(x: float) -> float:
+    """Slack of a verdict on values up to |x| for float rounding: max(1e-9, 8 ulp(|x|))."""
+    # Each float operation rounds by at most ulp(|x|) / 2, and a verdict compares values a few
+    # operations apart.  In an isometric image, matched points share their birth and the
+    # rounded part of their death that does not depend on the source point, so each death has
+    # at most two more roundings: a cost checked against the source distance is off by at most
+    # 3 ulp of the largest death.  Below 2**20 the slack is 1e-9.
+    return max(1e-9, 8.0 * float(np.spacing(abs(x))))
+
+
 def check_coarse_equiv_bounds(z: Diagram, w: Diagram, p: float) -> bool:
-    """Sandwich bound d_B <= d_{W,p} <= (2 max(n,m))^(1/p) d_B, within _TOL."""
+    """Sandwich bound d_B <= d_{W,p} <= (2 max(n,m))^(1/p) d_B = factor * d_B.
+
+    Both sides allow rounding_slack(max(d_W, factor * d_B)).
+    """
     p = _check_exponent(p)
     d_b = bottleneck_distance(z, w)
     d_w = wasserstein_distance(z, w, p)
     width = 2 * max(len(z), len(w))
     factor = width ** (1.0 / p)
-    return d_b <= d_w + _TOL and d_w <= factor * d_b + _TOL
+    slack = rounding_slack(max(d_w, factor * d_b))
+    return d_b <= d_w + slack and d_w <= factor * d_b + slack
 
 
 def _certify_lower_bound(a: np.ndarray, pa: np.ndarray, b: np.ndarray,

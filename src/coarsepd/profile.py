@@ -7,8 +7,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptySpace, MetricValidationError, SizeMismatch
-from .embeddings import FiniteMetricSpace
+from .errors import EmptySpace, MetricValidationError, SizeMismatch, TooLarge
+from .embeddings import FiniteMetricSpace, _point_cap
+from .metrics import rounding_slack
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +39,8 @@ def profile_map(X: FiniteMetricSpace, image_dist,
     image_dist must be an |X| x |X| matrix indexed consistently with X;
     NaN or infinite entries raise MetricValidationError with their
     ("non_finite", i, j) witnesses in row-major order.  Default bin width
-    is (max source distance) / 64.
+    is (max source distance) / 64.  More than COARSE_PD_MAX_POINTS bins
+    below the max source distance raise TooLarge before any is allocated.
     """
     n = X.n_points
     if n < 2:
@@ -57,7 +59,11 @@ def profile_map(X: FiniteMetricSpace, image_dist,
         bin_width = tmax / 64.0 if tmax > 0.0 else 1.0
     if bin_width <= 0.0:
         raise ValueError("bin_width must be positive")
-    nbins = int(np.floor(tmax / bin_width)) + 1
+    steps = tmax / bin_width  # floor(steps) bins of width bin_width, then the one holding tmax
+    cap = _point_cap()
+    if steps >= cap + 1:
+        raise TooLarge(f"{steps:.6g} bins exceeds cap {cap}")
+    nbins = int(np.floor(steps)) + 1
     idx = np.minimum((t / bin_width).astype(int), nbins - 1)
     mins = np.full(nbins, np.nan)
     maxs = np.full(nbins, np.nan)
@@ -70,7 +76,7 @@ def profile_map(X: FiniteMetricSpace, image_dist,
     rho2[empty] = np.nan
     edges = np.arange(nbins + 1) * bin_width
     finite = rho1[~np.isnan(rho1)]
-    growing = bool(finite.size >= 2 and finite[-1] > finite[0] + 1e-9)
+    growing = bool(finite.size >= 2 and finite[-1] > finite[0] + rounding_slack(finite[-1]))
     return CoarseProfile(
         source_distances=t,
         image_distances=s,

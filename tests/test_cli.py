@@ -1,5 +1,6 @@
 """CLI behaviors: file formats, exit codes, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -41,6 +42,22 @@ def write_line_metric(path):
     """The line metric on {0.1, 3.3e6, 7.7e6, 9.9e6}, whose image deaths reach 1.3e8."""
     xs = [0.1, 3.3e6, 7.7e6, 9.9e6]
     write_metric(path, ["a", "b", "c", "d"], [[abs(x - y) for y in xs] for x in xs])
+
+
+def write_scattered_line_metric(path, planted=0.0):
+    """40 points of a line up to 1e8, whose distances round at 1.5e-8; d(0, 1) gets planted."""
+    xs = np.random.default_rng(0).uniform(0, 10, 40) * 1e7 + 0.123456789
+    dist = np.abs(xs[:, None] - xs)
+    dist[0, 1] += planted
+    dist[1, 0] += planted
+    write_metric(path, [f"p{i}" for i in range(40)], dist)
+
+
+def run_on_metric(command, path, out_dir):
+    """``profile path path`` or ``embed path --out out_dir``."""
+    path = str(path)
+    return main([command, path, path] if command == "profile"
+                else [command, path, "--out", str(out_dir)])
 
 
 def save_diagrams(directory, diagrams):
@@ -392,6 +409,35 @@ class TestGen:
         # C = diam + s = 0 + (1 + 1 + 1), so the anchor is (3C, 6C)
         assert json.loads(Path(out["diagram_files"][0]).read_text()) == {"points": [[9.0, 18.0]]}
 
+    @pytest.mark.parametrize("gen,files,stdout_sha,files_sha", [
+        (["--zkm", "4", "2"], 1,
+         "e238b87e532c590870f4a22d87e1d737fb08a706b63161282b39c257a944f581",
+         "5fb6615a71a0aee70858ed9944930e7eb868820490ab567e150eb154fdc5fcf7"),
+        (["--zkm", "3", "3"], 1,
+         "036db3491aab6a40ae1868d4a28e32c41ea771355bc0cd3d870f45027a3e77dd",
+         "2642d3bb546abf247fd43fbe27cd9b5745e419eb0dc3115ca8b61f0c9f00f966"),
+        (["--cube", "3", "2.5", "60", "--seed", "0"], 60,
+         "27bef2b9ad9f95737b198ebfcc32d4708a5689549be5bd98a8504d9c84227575",
+         "a302f31e85d49ffc1eaea2a5bf776ac074ffd6d5eea39a622eeb956accd82ce9"),
+        (["--dranishnikov", "1", "1"], 2,
+         "a6b099e6bc02e43f887827d85f1770e571fc8e1ebe3f6c1776c72321528f2075",
+         "770ff390bd20001625c9c81b04b60d37ee606b1c07a548066fbbd393057b54c4"),
+        (["--dranishnikov", "3", "2"], 21,
+         "2fd33fb179414867c073b0176818660fa527a9409650214892f0fc1fafaa7349",
+         "f88b319de61dc5890e62cb3f2e9b95ae821c6f461556df662af95a3a4ef05e59"),
+    ], ids=["zkm-4-2", "zkm-3-3", "cube-3-2.5-60", "dranishnikov-1-1", "dranishnikov-3-2"])
+    def test_golden_digests(self, tmp_path, capsys, gen, files, stdout_sha, files_sha):
+        # stdout with the output directory written as OUT, and a sha256sum-style
+        # listing of every written file in name order
+        assert main(["gen", *gen, "--out", str(tmp_path)]) == 0
+        stdout = capsys.readouterr().out.replace(str(tmp_path), "OUT")
+        written = sorted(tmp_path.iterdir())
+        listing = "".join(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.name}\n"
+                          for f in written)
+        assert len(written) == files
+        assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha
+        assert hashlib.sha256(listing.encode()).hexdigest() == files_sha
+
     def test_too_large_exit5(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COARSE_PD_MAX_POINTS", "10")
         code = main(["gen", "--zkm", "10", "2", "--out", str(tmp_path)])
@@ -508,6 +554,18 @@ class TestProfile:
         assert out["bin_width"] == tmax / 5
         assert_envelopes(out, profile_map(X, 2.0 * X.dist, bin_width=tmax / 5))
 
+    def test_bins_above_cap_exit5(self, tmp_path, capsys, rng, monkeypatch):
+        monkeypatch.setenv("COARSE_PD_MAX_POINTS", "4096")
+        X = random_connected_metric(rng, 5)
+        cpio.save_metric(X, tmp_path / "src.csv")
+        path = str(tmp_path / "src.csv")
+        code = main(["profile", path, path, "--bins", "1000000000000"])
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == ""
+        assert captured.err == "error: 1e+12 bins exceeds cap 4096\n"
+        assert main(["profile", path, path, "--bins", "4096"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rho1"]) == 4097
+
     def test_diagram_count_mismatch_exit1(self, tmp_path, capsys, rng):
         X = random_connected_metric(rng, 5)
         cpio.save_metric(X, tmp_path / "src.csv")
@@ -540,10 +598,29 @@ class TestProfile:
 def test_non_finite_metric_exit3(tmp_path, capsys, command):
     write_metric(tmp_path / "m.csv", ["a", "b", "c"],
                  [[0, 1, 2], [1, 0, float("nan")], [2, float("nan"), 0]])
-    path = str(tmp_path / "m.csv")
-    args = [path, path] if command == "profile" else [path, "--out", str(tmp_path / "out")]
-    code = main([command, *args])
+    code = run_on_metric(command, tmp_path / "m.csv", tmp_path / "out")
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert "('non_finite', 1, 2)" in captured.err
+
+
+@pytest.mark.parametrize("command", ["profile", "embed"])
+def test_large_scale_line_metric_is_valid(tmp_path, capsys, command):
+    # an absolute 1e-9 found 1,082 triangle witnesses in the distances' rounding
+    write_scattered_line_metric(tmp_path / "m.csv")
+    code = run_on_metric(command, tmp_path / "m.csv", tmp_path / "out")
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    if command == "embed":
+        assert json.loads(captured.out)["isometric"] is True
+
+
+@pytest.mark.parametrize("command", ["profile", "embed"])
+@pytest.mark.parametrize("planted", [1.0, 1e-3])
+def test_large_scale_planted_violation_exit3(tmp_path, capsys, command, planted):
+    write_scattered_line_metric(tmp_path / "m.csv", planted)
+    code = run_on_metric(command, tmp_path / "m.csv", tmp_path / "out")
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "triangle" in captured.err

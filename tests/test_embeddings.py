@@ -28,7 +28,7 @@ from coarsepd import (
     wasserstein,
     zkm_space,
 )
-from coarsepd.embeddings import _VALIDATE_UNION_MAX
+from coarsepd.embeddings import sup_distances
 from conftest import random_connected_metric
 
 
@@ -229,6 +229,19 @@ class TestEmbedCube:
                 assert wasserstein(dx, dy, p)[0] == pytest.approx(expected, abs=1e-6)
 
 
+class TestSupDistances:
+    @pytest.mark.parametrize("n,m", [(1, 1), (7, 1), (20, 3), (33, 5)])
+    def test_matches_broadcast(self, rng, n, m):
+        k = int(rng.integers(1, 9))
+        grid = rng.integers(0, k, size=(n, m)).astype(np.int32)
+        diff = np.abs(grid[:, None, :] - grid[None, :, :])
+        want = np.minimum(diff, k - diff).max(axis=2).astype(float)
+        assert sup_distances(grid, period=k).tobytes() == want.tobytes()
+        cube = rng.uniform(0.0, 10.0 ** float(rng.integers(-3, 7)), size=(n, m))
+        want = np.abs(cube[:, None, :] - cube[None, :, :]).max(axis=2)
+        assert sup_distances(cube).tobytes() == want.tobytes()
+
+
 class TestZkm:
     def test_wraparound(self):
         Z4 = zkm_space(4, 1)
@@ -275,10 +288,10 @@ class TestCoarseDisjointUnion:
         assert cross > max(b1.diameter, b2.diameter)
         validate_metric(U.space.dist, U.space.labels)
 
-    def test_unvalidated_branch_above_cap(self):
+    def test_blocks_and_cross_distances_kept_exactly(self):
         b0, b1 = zkm_space(17, 2), zkm_space(16, 2)
         U = coarse_disjoint_union([b0, b1], [0.1, 0.2])
-        assert U.space.n_points == 545 > _VALIDATE_UNION_MAX
+        assert U.space.n_points == 545
         assert U.space.labels == tuple(f"0:{lab}" for lab in b0.labels) + tuple(
             f"1:{lab}" for lab in b1.labels)
         dist = U.space.dist
@@ -306,8 +319,17 @@ class TestCoarseDisjointUnion:
 
     def test_nonpositive_separation(self):
         b = validate_metric([[0, 1], [1, 0]])
-        with pytest.raises(NonpositiveSeparation):
-            coarse_disjoint_union([b, b], [1.0, 0.0])
+        # 1e308 is positive and finite, but c_0 + c_1 overflows
+        for bad in (0.0, math.nan, math.inf, 1e308):
+            with pytest.raises(NonpositiveSeparation):
+                coarse_disjoint_union([b, b], [1.0, bad])
+
+    @pytest.mark.parametrize("max_n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("max_m", [1, 2, 3])
+    def test_dranishnikov_unions_are_metrics(self, max_n, max_m):
+        # the union is not validated when it is built; its docstring proves it is a metric
+        U = dranishnikov_S(max_n, max_m)
+        validate_metric(U.space.dist, U.space.labels)
 
     def test_dranishnikov_rule_bound(self):
         # truncated union of (Z_2)^1 and (Z_2)^2

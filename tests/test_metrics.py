@@ -38,7 +38,7 @@ from coarsepd import (
 )
 from coarsepd import metrics
 from coarsepd.assignment import lex_min_perfect_matching, min_assignment_max, min_assignment_sum
-from coarsepd.metrics import _cost, _tight_edges, cost_matrix
+from coarsepd.metrics import _cost, _tight_edges, cost_matrix, rounding_slack
 from conftest import random_diagram
 from cover_reference import as_columns
 
@@ -259,6 +259,29 @@ class TestSandwichBounds:
             z = random_diagram(rng, max_size=3)
             w = random_diagram(rng, max_size=3)
             assert check_coarse_equiv_bounds(z, w, 2)
+
+    @pytest.mark.parametrize("z,w,p", [
+        (((701949476.3859894, 1158380098.2675455),),
+         ((835183204.6922797, 1220278340.1730962),), 2),
+        (((538757472.3946525, 1335433397.1620724),),
+         ((647701711.0637228, 1241197209.369646),), 1),
+    ])
+    def test_large_scale_pairs(self, z, w, p):
+        # d_W rounds one ulp (1.5e-8) below d_B here, which an absolute 1e-9 did not allow
+        z, w = Diagram(z), Diagram(w)
+        assert wasserstein_distance(z, w, p) < bottleneck_distance(z, w)
+        assert check_coarse_equiv_bounds(z, w, p)
+
+
+class TestRoundingSlack:
+    @pytest.mark.parametrize("x", [0.0, 1e-300, 1.0, -3.5, 1e6, -(2.0 ** 20 - 1.0),
+                                   float(np.nextafter(2.0 ** 20, 0.0))])
+    def test_fixed_below_2_to_the_20(self, x):
+        assert rounding_slack(x) == 1e-9
+
+    @pytest.mark.parametrize("x", [2.0 ** 20, -1e9, 1e300])
+    def test_eight_ulp_above(self, x):
+        assert rounding_slack(x) == 8.0 * np.spacing(abs(x)) > 1e-9
 
 
 class TestMatchingOutput:

@@ -9,6 +9,7 @@ from coarsepd import (
     EmptySpace,
     MetricValidationError,
     SizeMismatch,
+    TooLarge,
     check_isometry,
     distance_matrix,
     embed_finite_metric,
@@ -100,6 +101,12 @@ class TestProfileMap:
         X = random_connected_metric(rng, 4)
         with pytest.raises(ValueError, match="^bin_width must be positive$"):
             profile_map(X, X.dist, bin_width=bin_width)
+
+    def test_too_many_bins_rejected(self, rng, monkeypatch):
+        monkeypatch.setenv("COARSE_PD_MAX_POINTS", "4096")
+        X = random_connected_metric(rng, 4)
+        with pytest.raises(TooLarge, match="^.* bins exceeds cap 4096$"):
+            profile_map(X, X.dist, bin_width=1e-300)
 
     def test_shape_mismatch(self, rng):
         X = random_connected_metric(rng, 4)
