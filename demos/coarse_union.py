@@ -4,7 +4,9 @@ Builds the disjoint union S of the word-metric spaces (Z_n)^m with cross
 distances d(x,y) > m+n+m'+n', then embeds every block isometrically into
 persistence diagrams while keeping the required separation between blocks.
 S is the standard witness that diagram space contains subspaces with no
-coarse embedding into Hilbert space.
+coarse embedding into Hilbert space.  S is stored once, as its metric:
+block i is the points S.offsets[i]:S.offsets[i + 1], and S.radius[i] is
+c_i = diam + s_i, half the cross distance budget of block i.
 
 Run:  python3 demos/coarse_union.py
 """
@@ -19,7 +21,7 @@ def main() -> None:
 
     S = dranishnikov_S(max_n=3, max_m=2)
     validate_metric(S.space.dist, S.space.labels)
-    print(f"\nS(3,2): {S.space.n_points} points in {len(S.blocks)} blocks "
+    print(f"\nS(3,2): {S.space.n_points} points in {len(S.radius)} blocks "
           f"(torus grids (Z_n)^m, n<=3, m<=2); metric axioms verified")
 
     emb = embed_coarse_union(S)

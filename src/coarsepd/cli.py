@@ -244,11 +244,7 @@ def _cmd_profile(args) -> int:
         image = distance_matrix(diagrams, metric, args.wasserstein)
     else:
         image = io.load_metric(args.image).dist
-    bin_width = None
-    if args.bins:
-        tmax = float(np.triu(source.dist, 1).max())
-        bin_width = tmax / args.bins if tmax > 0 else None
-    prof = profile_map(source, image, bin_width=bin_width)
+    prof = profile_map(source, image, args.bins)
     _emit({
         "bin_width": prof.bin_width,
         "bin_edges": prof.bin_edges.tolist(),
@@ -346,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg = profile.add_mutually_exclusive_group()
     pg.add_argument("--bottleneck", action="store_true", default=False)
     pg.add_argument("--wasserstein", type=float, metavar="P")
-    profile.add_argument("--bins", type=_positive_int, default=None)
+    profile.add_argument("--bins", type=_positive_int, default=64)
     profile.set_defaults(func=_cmd_profile)
 
     return parser

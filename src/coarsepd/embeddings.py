@@ -217,17 +217,16 @@ def zkm_space(k: int, m: int) -> FiniteMetricSpace:
 
 @dataclass(frozen=True, eq=False)
 class BlockedSpace:
-    """Coarse disjoint union of finite metric spaces.
+    """Coarse disjoint union of finite metric spaces, stored as its metric.
 
-    Cross-block distances are c_i + c_j where c_i = diam(block i) + s_i
-    (the per-block separation radius); intra-block distances are the
-    block's own.  block_params stores (diameter, c_i) per block.
+    Block i is the points offsets[i]:offsets[i + 1] of space, whose distances
+    within a block are the block's own and across blocks c_i + c_j, with
+    radius[i] = c_i = diam(block i) + s_i.  block_meta is free per-block data.
     """
 
     space: FiniteMetricSpace
-    blocks: tuple[FiniteMetricSpace, ...]
-    block_of: tuple[int, ...]
-    block_params: tuple[tuple[float, float], ...]
+    offsets: tuple[int, ...]
+    radius: tuple[float, ...]
     block_meta: tuple = ()
 
 
@@ -236,31 +235,33 @@ def coarse_disjoint_union(blocks: Sequence[FiniteMetricSpace],
                           block_meta: tuple = ()) -> BlockedSpace:
     """Assemble a coarse disjoint union with cross distances c_i + c_j.
 
-    c_i = diam_i + s_i, from strictly positive separations s_i that keep
-    2 max c_i finite.  A union of metric blocks is then a metric, exactly,
-    so it is not validated again: cross entries are symmetric, positive and
-    c_i + c_j >= diam_i, and as float addition is monotone, c_i + c_j <=
-    d(x, y) + (c_i + c_j) and c_i + c_j <= (c_i + c_k) + (c_k + c_j).
+    Every block needs a point (EmptySpace otherwise).  c_i = diam_i + s_i,
+    from strictly positive separations s_i that keep 2 max c_i finite.  A
+    union of metric blocks is then a metric, exactly, so it is not validated
+    again: cross entries are symmetric, positive and c_i + c_j >= diam_i, and
+    as float addition is monotone, c_i + c_j <= d(x, y) + (c_i + c_j) and
+    c_i + c_j <= (c_i + c_k) + (c_k + c_j).
     """
     blocks = list(blocks)
     if not blocks:
         raise ValueError("need at least one block")
     if len(separations) != len(blocks):
         raise ValueError("one separation per block required")
-    seps = [float(s) for s in separations]
-    params = tuple((b.diameter, b.diameter + s) for b, s in zip(blocks, seps))
-    if not (all(s > 0.0 for s in seps) and math.isfinite(2.0 * max(c for _, c in params))):
-        raise NonpositiveSeparation(f"separations must be > 0 with 2 max c_i finite, got {seps}")
     sizes = [b.n_points for b in blocks]
-    block_of = tuple(bi for bi, sz in enumerate(sizes) for _ in range(sz))
-    radius = np.array([c for _, c in params])[list(block_of)]
-    dist = radius[:, None] + radius[None, :]
-    offsets = np.cumsum([0] + sizes)
-    for bi, b in enumerate(blocks):
-        dist[offsets[bi]:offsets[bi + 1], offsets[bi]:offsets[bi + 1]] = b.dist
+    if 0 in sizes:
+        raise EmptySpace(f"block {sizes.index(0)} has no points")
+    seps = [float(s) for s in separations]
+    radius = tuple(b.diameter + s for b, s in zip(blocks, seps))
+    # np.max, unlike max, propagates a NaN c_i from any position
+    if not (all(s > 0.0 for s in seps) and math.isfinite(2.0 * float(np.max(radius)))):
+        raise NonpositiveSeparation(f"separations must be > 0 with 2 max c_i finite, got {seps}")
+    per_point = np.repeat(radius, sizes)
+    dist = per_point[:, None] + per_point
+    offsets = tuple(itertools.accumulate(sizes, initial=0))
+    for b, lo, hi in zip(blocks, offsets, offsets[1:]):
+        dist[lo:hi, lo:hi] = b.dist
     labels = [f"{bi}:{lab}" for bi, b in enumerate(blocks) for lab in b.labels]
-    space = FiniteMetricSpace(tuple(labels), dist)
-    return BlockedSpace(space, tuple(blocks), block_of, params, block_meta)
+    return BlockedSpace(FiniteMetricSpace(tuple(labels), dist), offsets, radius, block_meta)
 
 
 def dranishnikov_S(max_n: int, max_m: int) -> BlockedSpace:
@@ -314,24 +315,23 @@ def embed_coarse_union(U: BlockedSpace) -> UnionEmbedding:
     min(band gap, 1.5 * C) >= C, so cross bottleneck distances dominate
     the required separations; intra-block distances stay exact.  A
     single-point block gets one anchor point of persistence 1.5 * C in its
-    band (an empty diagram would collapse cross distances to zero).
+    band (an empty diagram would collapse cross distances to zero).  Each
+    block's distances, its intra deviation and every cross minimum are
+    slices of U.space.dist and of the image, taken at U.offsets.
     """
-    blocks = U.blocks
-    required = {(i, j): U.block_params[i][1] + U.block_params[j][1]
-                for i, j in itertools.combinations(range(len(blocks)), 2)}
-    big_c = max(required.values(), default=U.block_params[0][1])
+    c, dist = U.radius, U.space.dist
+    blocks = [slice(lo, hi) for lo, hi in zip(U.offsets, U.offsets[1:])]
+    pairs = list(itertools.combinations(range(len(blocks)), 2))
+    big_c = max((c[i] + c[j] for i, j in pairs), default=c[0])
     diagrams: list[Diagram] = []
     off = 0.0
     for b in blocks:
+        n = b.stop - b.start
         # a single point's anchor is the diagram it would get beside a copy of itself
-        diagrams += _metric_diagrams(b.dist if b.n_points > 1 else np.zeros((1, 2)), big_c, off)
-        off += 3.0 * max(b.n_points - 1, 1) * big_c + 2.0 * big_c
+        diagrams += _metric_diagrams(dist[b, b] if n > 1 else np.zeros((1, 2)), big_c, off)
+        off += 3.0 * max(n - 1, 1) * big_c + 2.0 * big_c
     image = distance_matrix(diagrams)
-    owner = np.array(U.block_of)
-    same = owner[:, None] == owner[None, :]
-    intra = float(np.abs(image - U.space.dist)[same].max(initial=0.0))
-    cross = tuple(
-        CrossSeparation(i, j, req, float(image[np.ix_(owner == i, owner == j)].min()))
-        for (i, j), req in required.items()
-    )
+    intra = float(np.max([np.abs(image[b, b] - dist[b, b]).max() for b in blocks]))
+    cross = tuple(CrossSeparation(i, j, c[i] + c[j], float(image[blocks[i], blocks[j]].min()))
+                  for i, j in pairs)
     return UnionEmbedding(tuple(diagrams), intra, cross)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,16 +31,18 @@ class CoarseProfile:
     lower_envelope_growing: bool
 
 
-def profile_map(X: FiniteMetricSpace, image_dist,
-                bin_width: Optional[float] = None) -> CoarseProfile:
+def profile_map(X: FiniteMetricSpace, image_dist, bins: int = 64) -> CoarseProfile:
     """Envelope profile of a map given source and image pairwise distances.
 
     image_dist must be an |X| x |X| matrix indexed consistently with X;
     NaN or infinite entries raise MetricValidationError with their
-    ("non_finite", i, j) witnesses in row-major order.  Default bin width
-    is (max source distance) / 64.  More than COARSE_PD_MAX_POINTS bins
-    below the max source distance raise TooLarge before any is allocated.
+    ("non_finite", i, j) witnesses in row-major order.  The bin width is
+    (max source distance) / bins, or 1.0 when that distance is 0.  More
+    than COARSE_PD_MAX_POINTS bins below the max source distance raise
+    TooLarge before any is allocated.
     """
+    if bins <= 0:
+        raise ValueError("bins must be positive")
     n = X.n_points
     if n < 2:
         raise EmptySpace("profiling needs at least two points")
@@ -55,10 +56,7 @@ def profile_map(X: FiniteMetricSpace, image_dist,
     t = X.dist[iu]
     s = image[iu]
     tmax = float(t.max())
-    if bin_width is None:
-        bin_width = tmax / 64.0 if tmax > 0.0 else 1.0
-    if bin_width <= 0.0:
-        raise ValueError("bin_width must be positive")
+    bin_width = tmax / bins if tmax > 0.0 else 1.0
     steps = tmax / bin_width  # floor(steps) bins of width bin_width, then the one holding tmax
     cap = _point_cap()
     if steps >= cap + 1:
@@ -83,7 +81,7 @@ def profile_map(X: FiniteMetricSpace, image_dist,
         bin_edges=edges,
         rho1=rho1,
         rho2=rho2,
-        bin_width=float(bin_width),
+        bin_width=bin_width,
         lower_envelope_growing=growing,
     )
 

@@ -425,7 +425,11 @@ class TestGen:
         (["--dranishnikov", "3", "2"], 21,
          "2fd33fb179414867c073b0176818660fa527a9409650214892f0fc1fafaa7349",
          "f88b319de61dc5890e62cb3f2e9b95ae821c6f461556df662af95a3a4ef05e59"),
-    ], ids=["zkm-4-2", "zkm-3-3", "cube-3-2.5-60", "dranishnikov-1-1", "dranishnikov-3-2"])
+        (["--dranishnikov", "4", "2"], 41,
+         "a6226bffb90cd866aeb24b0fd61e705f669c14d114a35bb3886cde50c4215d5f",
+         "f6dd72c72ea3e5c82b6050228a76e9a0d5e36833c2b40fa0de780ab1d45277f8"),
+    ], ids=["zkm-4-2", "zkm-3-3", "cube-3-2.5-60", "dranishnikov-1-1", "dranishnikov-3-2",
+            "dranishnikov-4-2"])
     def test_golden_digests(self, tmp_path, capsys, gen, files, stdout_sha, files_sha):
         # stdout with the output directory written as OUT, and a sha256sum-style
         # listing of every written file in name order
@@ -552,7 +556,7 @@ class TestProfile:
         assert code == 0
         tmax = float(np.triu(X.dist, 1).max())
         assert out["bin_width"] == tmax / 5
-        assert_envelopes(out, profile_map(X, 2.0 * X.dist, bin_width=tmax / 5))
+        assert_envelopes(out, profile_map(X, 2.0 * X.dist, 5))
 
     def test_bins_above_cap_exit5(self, tmp_path, capsys, rng, monkeypatch):
         monkeypatch.setenv("COARSE_PD_MAX_POINTS", "4096")
@@ -565,6 +569,27 @@ class TestProfile:
         assert captured.err == "error: 1e+12 bins exceeds cap 4096\n"
         assert main(["profile", path, path, "--bins", "4096"]) == 0
         assert len(json.loads(capsys.readouterr().out)["rho1"]) == 4097
+
+    def test_golden_digest(self, tmp_path, capsys, rng, monkeypatch):
+        # 28 calls: four inputs, each with no --bins and with six bin counts; the
+        # sha256 of every exit code, stdout and stderr, the directory written as OUT
+        monkeypatch.setenv("COARSE_PD_MAX_POINTS", "4096")
+        X = random_connected_metric(rng, 8)
+        src, img, line = tmp_path / "src.csv", tmp_path / "img.csv", tmp_path / "line.csv"
+        cpio.save_metric(X, src)
+        cpio.save_metric(validate_metric(np.sqrt(X.dist)), img)
+        files = save_diagrams(tmp_path, embed_finite_metric(X))
+        write_scattered_line_metric(line)
+        transcript = []
+        for args in ([src, img], [src, "--diagrams", *files, "--bottleneck"],
+                     [src, "--diagrams", *files, "--wasserstein", "2"], [line, line]):
+            for bins in ([], *(["--bins", b] for b in ("1", "5", "64", "4096", "4097",
+                                                        "1000000000000"))):
+                code = main(["profile", *map(str, args), *bins])
+                captured = capsys.readouterr()
+                transcript.append(f"{code}\n{captured.out}{captured.err}")
+        digest = hashlib.sha256("".join(transcript).replace(str(tmp_path), "OUT").encode())
+        assert digest.hexdigest() == "6a862b83f2c1bfe21b95033bf14b911acf557675ba2ca7550f14bab3a0bf3636"
 
     def test_diagram_count_mismatch_exit1(self, tmp_path, capsys, rng):
         X = random_connected_metric(rng, 5)

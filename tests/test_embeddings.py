@@ -297,7 +297,8 @@ class TestCoarseDisjointUnion:
         dist = U.space.dist
         assert dist[:289, :289].tobytes() == b0.dist.tobytes()
         assert dist[289:, 289:].tobytes() == b1.dist.tobytes()
-        cross = U.block_params[0][1] + U.block_params[1][1]
+        assert U.offsets == (0, 289, 545)
+        cross = U.radius[0] + U.radius[1]
         assert np.all(dist[:289, 289:] == cross) and np.all(dist[289:, :289] == cross)
 
     def test_single_block_is_a_union_like_any_other(self):
@@ -305,7 +306,22 @@ class TestCoarseDisjointUnion:
         U = coarse_disjoint_union([b], [1.0])
         assert U.space.labels == ("0:p", "0:q")
         assert U.space.dist.tobytes() == b.dist.tobytes()
-        assert U.block_of == (0, 0) and U.block_params == ((1.0, 2.0),)
+        assert U.offsets == (0, 2) and U.radius == (2.0,)
+
+    @pytest.mark.parametrize("n_empty", [1, 2])
+    def test_empty_block_rejected(self, n_empty):
+        # one empty block alone, or before a (Z_2)^1 block
+        empty = FiniteMetricSpace((), np.zeros((0, 0)))
+        with pytest.raises(EmptySpace, match="^block 0 has no points$"):
+            coarse_disjoint_union([empty, zkm_space(2, 1)][:n_empty], [1.0] * n_empty)
+
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_nan_block_rejected_in_any_position(self, nan_first):
+        # a NaN distance makes the block's diameter, and so its c_i, NaN
+        nan_block = FiniteMetricSpace(("a", "b"), [[0.0, math.nan], [math.nan, 0.0]])
+        blocks = [nan_block, zkm_space(2, 1)] if nan_first else [zkm_space(2, 1), nan_block]
+        with pytest.raises(NonpositiveSeparation):
+            coarse_disjoint_union(blocks, [1.0, 1.0])
 
     @pytest.mark.parametrize("n_blocks,seps,message", [
         (0, [], "need at least one block"),
@@ -335,28 +351,28 @@ class TestCoarseDisjointUnion:
         # truncated union of (Z_2)^1 and (Z_2)^2
         U = dranishnikov_S(2, 2)
         meta = U.block_meta
-        for bi in range(len(U.blocks)):
-            for bj in range(bi + 1, len(U.blocks)):
+        for bi in range(len(U.radius)):
+            for bj in range(bi + 1, len(U.radius)):
                 n_i, m_i = meta[bi]
                 n_j, m_j = meta[bj]
-                required = U.block_params[bi][1] + U.block_params[bj][1]
+                required = U.radius[bi] + U.radius[bj]
                 assert required > m_i + n_i + m_j + n_j
 
 
 class TestDranishnikov:
     def test_minimal(self):
         U = dranishnikov_S(1, 1)
-        assert len(U.blocks) == 1
+        assert len(U.radius) == 1
         assert U.space.n_points == 1
 
     def test_2x2_blocks(self):
         U = dranishnikov_S(2, 2)
         assert U.block_meta == ((1, 1), (1, 2), (2, 1), (2, 2))
-        assert [b.n_points for b in U.blocks] == [1, 1, 2, 4]
+        assert U.offsets == (0, 1, 2, 4, 8)
 
     def test_3x2_cardinality(self):
         U = dranishnikov_S(3, 2)
-        assert len(U.blocks) == 6
+        assert len(U.radius) == 6 and len(U.offsets) == 7
         assert U.space.n_points == 20
 
     def test_cap(self, monkeypatch):
@@ -400,10 +416,11 @@ class TestEmbedCoarseUnion:
     def test_blocks_are_shifted_embeddings_at_scale_c(self):
         U = dranishnikov_S(3, 2)
         emb = embed_coarse_union(U)
-        big_c = max(ci + cj for (_, ci), (_, cj)
-                    in itertools.combinations(U.block_params, 2))
+        big_c = max(ci + cj for ci, cj in itertools.combinations(U.radius, 2))
         start, off = 0, 0.0
-        for b in U.blocks:
+        for bi, (n, m) in enumerate(U.block_meta):
+            b = zkm_space(n, m)
+            assert U.offsets[bi] == start
             got = emb.diagrams[start:start + b.n_points]
             if b.n_points == 1:
                 want = [((off + 3.0 * big_c, off + 6.0 * big_c),)]

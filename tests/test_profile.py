@@ -73,14 +73,16 @@ class TestProfileMap:
             assert np.all(np.diff(finite) >= -1e-12)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(2, 9), st.integers(0, 2**32 - 1), st.floats(0.05, 3.0))
-    def test_equals_per_bin_reference(self, n, seed, bin_width):
+    @given(st.integers(2, 9), st.integers(0, 2**32 - 1), st.integers(1, 400))
+    def test_equals_per_bin_reference(self, n, seed, bins):
         rng = np.random.default_rng(seed)
         # Distances in [10, 20] always form a metric and leave the low bins empty.
         upper = np.triu(rng.integers(10, 21, size=(n, n)), 1).astype(float)
         X = validate_metric(upper + upper.T)
         image = rng.uniform(0.0, 5.0, size=(n, n))
-        prof = profile_map(X, image, bin_width=bin_width)
+        prof = profile_map(X, image, bins)
+        bin_width = float(upper.max()) / bins
+        assert prof.bin_width == bin_width
         iu = np.triu_indices(n, 1)
         mins, maxs = reference_bins(X.dist[iu], image[iu], bin_width)
         empty = np.isnan(mins)
@@ -96,17 +98,18 @@ class TestProfileMap:
         with pytest.raises(EmptySpace):
             profile_map(X, [[0.0]])
 
-    @pytest.mark.parametrize("bin_width", [0.0, -1.0])
-    def test_nonpositive_bin_width(self, rng, bin_width):
+    @pytest.mark.parametrize("bins", [0.0, -1.0])
+    def test_nonpositive_bin_width(self, rng, bins):
+        # a bin count <= 0 would give a bin width <= 0
         X = random_connected_metric(rng, 4)
-        with pytest.raises(ValueError, match="^bin_width must be positive$"):
-            profile_map(X, X.dist, bin_width=bin_width)
+        with pytest.raises(ValueError, match="^bins must be positive$"):
+            profile_map(X, X.dist, bins)
 
     def test_too_many_bins_rejected(self, rng, monkeypatch):
         monkeypatch.setenv("COARSE_PD_MAX_POINTS", "4096")
         X = random_connected_metric(rng, 4)
         with pytest.raises(TooLarge, match="^.* bins exceeds cap 4096$"):
-            profile_map(X, X.dist, bin_width=1e-300)
+            profile_map(X, X.dist, 10**300)
 
     def test_shape_mismatch(self, rng):
         X = random_connected_metric(rng, 4)
