@@ -10,18 +10,20 @@ Run:  python3 demos/distances.py
 import numpy as np
 
 from coarsepd import (
+    Diagram,
     bottleneck,
     bottleneck_bruteforce,
-    canonicalize,
-    check_coarse_equiv_bounds,
+    bottleneck_distance,
     describe_matching,
     wasserstein,
+    wasserstein_distance,
 )
+from coarsepd.metrics import rounding_slack
 
 
 def main() -> None:
-    z = canonicalize([(0.0, 4.0), (1.0, 3.0)])
-    w = canonicalize([(3.0, 6.0)])
+    z = Diagram([(0.0, 4.0), (1.0, 3.0)])
+    w = Diagram([(3.0, 6.0)])
     print(f"z = {list(z.points)}")
     print(f"w = {list(w.points)}")
 
@@ -43,11 +45,14 @@ def main() -> None:
     ok = True
     for _ in range(200):
         size_a, size_b = rng.integers(0, 5, size=2)
-        a = canonicalize([(b, b + q) for b, q in zip(
+        a = Diagram([(b, b + q) for b, q in zip(
             rng.uniform(0, 10, size_a), rng.uniform(0.01, 10, size_a))])
-        b_ = canonicalize([(b, b + q) for b, q in zip(
+        b_ = Diagram([(b, b + q) for b, q in zip(
             rng.uniform(0, 10, size_b), rng.uniform(0.01, 10, size_b))])
-        ok &= check_coarse_equiv_bounds(a, b_, p=2)
+        d_b, d_w = bottleneck_distance(a, b_), wasserstein_distance(a, b_, 2)
+        factor = (2 * max(size_a, size_b)) ** (1.0 / 2)
+        slack = rounding_slack(max(d_w, factor * d_b))  # float rounding at this scale
+        ok &= d_b <= d_w + slack and d_w <= factor * d_b + slack
     print(f"  holds on 200 pairs: {ok}")
 
 

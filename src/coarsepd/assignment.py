@@ -1,15 +1,13 @@
-"""Bipartite matching and exhaustive assignment search primitives.
+"""Bipartite perfect matchings of boolean edge matrices.
 
 scipy's ``linear_sum_assignment`` on the 0/1 cost ``~ok`` finds a perfect
 matching of a boolean edge matrix when there is one; the lex-min recovery
 improves a given perfect matching one row at a time along alternating
-paths.  The subset dynamic programs are exact minima over all permutations
-and serve as independent oracles for the solvers.
+paths.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -96,71 +94,3 @@ def lex_min_perfect_matching(ok: np.ndarray, col: Sequence[int]) -> tuple[int, .
                     r, c = holder, parent[c]
         fixed |= 1 << col[i]
     return tuple(col)
-
-
-def _min_assignment(cost: np.ndarray, combine) -> list[float]:
-    """Exact minimum over all n! permutations of an aggregated pair cost.
-
-    Subset dynamic program: returns the table h where h[S] is the optimum of
-    assigning rows popcount(S).. to the columns outside S, so h[0] is the
-    global optimum and every permutation is accounted for.
-    """
-    n = cost.shape[0]
-    if n > 20:
-        raise ValueError("subset DP limited to n <= 20")
-    rows = cost.tolist()
-    full = 1 << n
-    h = [0.0] * full
-    for S in range(full - 2, -1, -1):
-        row = rows[S.bit_count()]  # S < full - 1 leaves a column free
-        best = math.inf
-        for j in range(n):
-            if S >> j & 1:
-                continue
-            v = combine(row[j], h[S | (1 << j)])
-            if v < best:
-                best = v
-        h[S] = best
-    return h
-
-
-def _lex_min_recovery(cost: np.ndarray, h: list[float], fits) -> tuple[int, ...]:
-    """Walk the rows in order, each taking the smallest free column j that fits.
-
-    S holds the columns taken so far; column j fits row i when
-    fits(cost[i, j], h[S | 1 << j], h[S]) says that the step keeps an optimal
-    permutation within reach, so the walk ends on the lexicographically
-    smallest optimum.
-    """
-    perm: list[int] = []
-    S = 0
-    for row in cost.tolist():
-        j = next(j for j, c in enumerate(row)
-                 if not S >> j & 1 and fits(c, h[S | (1 << j)], h[S]))
-        perm.append(j)
-        S |= 1 << j
-    return tuple(perm)
-
-
-def min_assignment_max(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """Exact min over all permutations of the maximum per-pair cost.
-
-    An optimal permutation is any one whose pair costs all stay within the
-    optimum, so the recovery keeps the global value as a cap and picks the
-    smallest feasible column per row: the lexicographically smallest optimum.
-    """
-    h = _min_assignment(cost, lambda c, rest: c if c > rest else rest)
-    cap = h[0]
-    return cap, _lex_min_recovery(cost, h, lambda c, rest, _: c <= cap and rest <= cap)
-
-
-def min_assignment_sum(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """Exact min over all permutations of the summed per-pair cost.
-
-    Recovery walks forward picking the smallest column whose cost plus the
-    remaining-subproblem optimum reproduces the current target exactly (the
-    same expression the table stored, so float comparison is safe); the
-    result is the lexicographically smallest optimal permutation.
-    """
-    h = _min_assignment(cost, lambda c, rest: c + rest)
-    return h[0], _lex_min_recovery(cost, h, lambda c, rest, target: c + rest == target)

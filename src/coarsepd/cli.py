@@ -38,12 +38,11 @@ from .errors import (
 from .metrics import (
     bottleneck,
     bottleneck_1pt_array,
-    bottleneck_bruteforce,
     describe_matching,
     distance_matrix,
     wasserstein,
-    wasserstein_bruteforce,
 )
+from .oracle import bottleneck_bruteforce, wasserstein_bruteforce
 from .profile import profile_map
 
 EXIT_OK = 0

@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .diagram import DELTA, Point
 from .metrics import rounding_slack
+from .oracle import DELTA, Point
 
 
 @dataclass

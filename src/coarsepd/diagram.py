@@ -1,9 +1,8 @@
-"""Persistence diagrams with the diagonal collapsed to a single point.
+"""Persistence diagrams, matchings between them and the exponent of W_p.
 
-A diagram point is either the distinguished diagonal point ``DELTA`` or a
-birth-death pair ``(b, d)`` with ``d > b >= 0``.  The extended metric
-``delta`` restricts to the sup metric on the open half-plane and measures
-the distance to the diagonal as half the persistence.
+A diagram is a finite multiset of birth-death pairs ``(b, d)`` with
+``d > b >= 0``; the diagonal is never stored.  A matching pairs the
+indices of two diagrams padded with the diagonal to a common width.
 """
 
 from __future__ import annotations
@@ -11,28 +10,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterator
 
-from .errors import InvalidPoint
-
-
-class _Diagonal:
-    """Singleton type of the collapsed diagonal point."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "DELTA"
-
-
-DELTA = _Diagonal()
+from .errors import InvalidExponent, InvalidPoint
 
 PlanePoint = tuple[float, float]
-Point = Union[_Diagonal, PlanePoint]
-
-
-def is_delta(point: object) -> bool:
-    return isinstance(point, _Diagonal)
 
 
 def _coordinate(value) -> float:
@@ -63,32 +45,13 @@ def as_plane_point(raw) -> PlanePoint:
     return (birth, death)
 
 
-def persistence(a: Point) -> float:
-    """Distance of a point to the diagonal: (death - birth) / 2, zero for DELTA."""
-    if is_delta(a):
-        return 0.0
-    return (a[1] - a[0]) / 2.0
-
-
-def delta(a: Point, b: Point) -> float:
-    """Extended metric on the half-plane plus the diagonal point.
-
-    Sup distance between two plane points; half the persistence against
-    DELTA; zero for DELTA against itself.
-    """
-    if is_delta(a):
-        return persistence(b)
-    if is_delta(b):
-        return persistence(a)
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 @dataclass(frozen=True)
 class Diagram:
     """Canonical finite multiset of off-diagonal points.
 
-    Points are kept sorted lexicographically by (birth, death); diagonal
-    entries are never stored, so appending DELTA does not change identity.
+    Points are validated and kept sorted lexicographically by
+    (birth, death), so input order does not change identity and
+    duplicates are kept.
     """
 
     points: tuple[PlanePoint, ...] = ()
@@ -104,31 +67,22 @@ class Diagram:
         return iter(self.points)
 
 
-def canonicalize(raw: Iterable[Point]) -> Diagram:
-    """Build a Diagram from raw points: drop DELTA entries, validate, sort.
-
-    The result is independent of input order; duplicates are preserved
-    (multiset semantics).
-    """
-    return Diagram(tuple(p for p in raw if not is_delta(p)))
-
-
 @dataclass(frozen=True)
-class AugmentedPair:
-    """Two equal-length tuples obtained by diagonal padding.
+class Matching:
+    """A permutation of augmented indices.
 
-    Both sides are padded with DELTA up to width 2 * max(size, size'), so
-    every off-diagonal point can always be matched to a diagonal entry.
+    ``pairing[i] = j`` matches left index i to right index j.
     """
 
-    left: tuple[Point, ...]
-    right: tuple[Point, ...]
-    width: int
+    pairing: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if sorted(self.pairing) != list(range(len(self.pairing))):
+            raise ValueError("pairing is not a permutation")
 
 
-def augment(z: Diagram, w: Diagram) -> AugmentedPair:
-    """Pad both diagrams with DELTA to the common width 2 * max(|z|, |w|)."""
-    width = 2 * max(len(z), len(w))
-    left = z.points + (DELTA,) * (width - len(z))
-    right = w.points + (DELTA,) * (width - len(w))
-    return AugmentedPair(left=left, right=right, width=width)
+def _check_exponent(p: float) -> float:
+    p = float(p)
+    if not 1.0 <= p < math.inf:
+        raise InvalidExponent(f"p must be finite and >= 1, got {p}")
+    return p

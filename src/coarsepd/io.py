@@ -1,9 +1,9 @@
 """File formats: JSON diagrams and CSV distance matrices.
 
 Diagram files are JSON objects {"points": [[birth, death], ...]}; point
-order is irrelevant (canonicalized on load).  Metric files are CSV with a
-first row of labels followed by the distance matrix.  Floats are written
-with full round-trip precision.
+order is irrelevant, as a loaded Diagram keeps its points sorted.  Metric
+files are CSV with a first row of labels followed by the distance matrix.
+Floats are written with full round-trip precision.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import csv
 import json
 from pathlib import Path
 
-from .diagram import Diagram, canonicalize
+from .diagram import Diagram
 from .embeddings import FiniteMetricSpace, validate_metric
 
 
@@ -26,7 +26,7 @@ def load_diagram(path) -> Diagram:
         raise ValueError(f"{path}: expected a JSON object with a 'points' key")
     if not isinstance(data["points"], list):
         raise ValueError(f"{path}: 'points' must be a list of [birth, death] pairs")
-    return canonicalize(tuple(p) if isinstance(p, list) else p for p in data["points"])
+    return Diagram([tuple(p) if isinstance(p, list) else p for p in data["points"]])
 
 
 def save_diagram(diagram: Diagram, path) -> None:

@@ -15,61 +15,27 @@ the padded cost matrix in blocks from coordinate arrays.
 puts every diagram into one padded coordinate array and, row by row,
 certifies the lower bound of the threshold search with a greedy
 nearest-point matching; only the pairs the certificate declines go to
-``bottleneck_distance``.  The ``*_bruteforce`` variants minimize over all
-permutations directly and act as independent oracles; they build their
-costs point by point with ``delta``.
+``bottleneck_distance``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .assignment import (
-    lex_min_perfect_matching,
-    min_assignment_max,
-    min_assignment_sum,
-    perfect_matching,
-)
-from .diagram import Diagram, Point, augment, delta
-from .errors import InvalidExponent, OversizeForOracle
+from .assignment import lex_min_perfect_matching, perfect_matching
+from .diagram import Diagram, Matching, _check_exponent
 
-ORACLE_MAX_WIDTH = 10
 _BLOCK_ENTRIES = 2 ** 22  # largest (pairs, K, K) cost block of distance_matrix
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A permutation of augmented indices.
-
-    ``pairing[i] = j`` matches left index i to right index j.
-    """
-
-    pairing: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.pairing) != list(range(len(self.pairing))):
-            raise ValueError("pairing is not a permutation")
-
-
-def cost_matrix(left: tuple[Point, ...], right: tuple[Point, ...]) -> np.ndarray:
-    """Matrix of pairwise extended-metric costs between two point tuples.
-
-    The per-pair reference: one ``delta`` call per entry.  The oracles use
-    it, so their costs share no code with the solvers' ``_cost``.
-    """
-    return np.array([[delta(a, b) for b in right] for a in left]).reshape(len(left), len(right))
 
 
 def _cost(z: Diagram, w: Diagram) -> np.ndarray:
     """Square cost matrix of z and w padded with DELTA to width 2 * max(n, m).
 
-    Equal to ``cost_matrix`` on the ``augment``-ed pair, built in blocks:
-    the sup metric between points, each point's persistence against every
+    Equal to the per-point ``oracle.cost_matrix``, built in blocks: the
+    sup metric between points, each point's persistence against every
     DELTA slot, and zero between DELTA slots.
     """
     n, m = len(z), len(w)
@@ -128,30 +94,6 @@ def bottleneck_distance(z: Diagram, w: Diagram) -> float:
     return _bottleneck_value(_cost(z, w))[0]
 
 
-def _oracle_cost(z: Diagram, w: Diagram) -> np.ndarray:
-    """``cost_matrix`` of the ``augment``-ed pair, up to width ORACLE_MAX_WIDTH."""
-    pair = augment(z, w)
-    if pair.width > ORACLE_MAX_WIDTH:
-        raise OversizeForOracle(f"augmented width {pair.width} > {ORACLE_MAX_WIDTH}")
-    return cost_matrix(pair.left, pair.right)
-
-
-def bottleneck_bruteforce(z: Diagram, w: Diagram) -> tuple[float, Matching]:
-    """Bottleneck distance by exhaustive minimization over permutations.
-
-    Defined only up to augmented width 10 (factorial blow-up guard).
-    """
-    value, phi = min_assignment_max(_oracle_cost(z, w))
-    return value, Matching(phi)
-
-
-def _check_exponent(p: float) -> float:
-    p = float(p)
-    if not 1.0 <= p < math.inf:
-        raise InvalidExponent(f"p must be finite and >= 1, got {p}")
-    return p
-
-
 def _tight_edges(cost: np.ndarray, sigma: np.ndarray, optimum: float) -> np.ndarray:
     """Edges of zero reduced cost under optimal duals of the assignment sigma.
 
@@ -182,10 +124,6 @@ def _tight_edges(cost: np.ndarray, sigma: np.ndarray, optimum: float) -> np.ndar
     return cost - u[:, None] - v[None, :] <= tol
 
 
-def _invert_pairing(phi: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(np.argsort(phi).tolist())
-
-
 def _wasserstein_solve(z: Diagram, w: Diagram, p: float,
                        pairing: bool) -> tuple[float, Optional[tuple[int, ...]]]:
     """p-Wasserstein value, and the lex-min optimal pairing if asked for.
@@ -209,7 +147,7 @@ def _wasserstein_solve(z: Diagram, w: Diagram, p: float,
     if not pairing:
         return value, None
     phi = lex_min_perfect_matching(_tight_edges(powered, cols, optimum), cols)
-    return value, _invert_pairing(phi) if swapped else phi
+    return value, tuple(np.argsort(phi).tolist()) if swapped else phi
 
 
 def wasserstein(z: Diagram, w: Diagram, p: float) -> tuple[float, Matching]:
@@ -230,23 +168,6 @@ def wasserstein(z: Diagram, w: Diagram, p: float) -> tuple[float, Matching]:
 def wasserstein_distance(z: Diagram, w: Diagram, p: float) -> float:
     """Exact p-Wasserstein distance without a matching; equals ``wasserstein(z, w, p)[0]``."""
     return _wasserstein_solve(z, w, _check_exponent(p), pairing=False)[0]
-
-
-def wasserstein_bruteforce(z: Diagram, w: Diagram, p: float) -> tuple[float, Matching]:
-    """p-Wasserstein distance by exhaustive minimization over permutations.
-
-    Uses the same canonical argument ordering as ``wasserstein`` so both
-    are bitwise symmetric and report comparable pairings.
-    """
-    p = _check_exponent(p)
-    if w.points < z.points:
-        value, m = wasserstein_bruteforce(w, z, p)
-        return value, Matching(_invert_pairing(m.pairing))
-    cost = _oracle_cost(z, w)
-    top = float(cost.max(initial=0.0))
-    optimum, phi = min_assignment_sum((cost / top) ** p)
-    value = top * optimum ** (1.0 / p)
-    return value, Matching(phi)
 
 
 def bottleneck_1pt_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -273,20 +194,6 @@ def rounding_slack(x: float) -> float:
     # at most two more roundings: a cost checked against the source distance is off by at most
     # 3 ulp of the largest death.  Below 2**20 the slack is 1e-9.
     return max(1e-9, 8.0 * float(np.spacing(abs(x))))
-
-
-def check_coarse_equiv_bounds(z: Diagram, w: Diagram, p: float) -> bool:
-    """Sandwich bound d_B <= d_{W,p} <= (2 max(n,m))^(1/p) d_B = factor * d_B.
-
-    Both sides allow rounding_slack(max(d_W, factor * d_B)).
-    """
-    p = _check_exponent(p)
-    d_b = bottleneck_distance(z, w)
-    d_w = wasserstein_distance(z, w, p)
-    width = 2 * max(len(z), len(w))
-    factor = width ** (1.0 / p)
-    slack = rounding_slack(max(d_w, factor * d_b))
-    return d_b <= d_w + slack and d_w <= factor * d_b + slack
 
 
 def _certify_lower_bound(a: np.ndarray, pa: np.ndarray, b: np.ndarray,

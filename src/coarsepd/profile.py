@@ -37,9 +37,9 @@ def profile_map(X: FiniteMetricSpace, image_dist, bins: int = 64) -> CoarseProfi
     image_dist must be an |X| x |X| matrix indexed consistently with X;
     NaN or infinite entries raise MetricValidationError with their
     ("non_finite", i, j) witnesses in row-major order.  The bin width is
-    (max source distance) / bins, or 1.0 when that distance is 0.  More
-    than COARSE_PD_MAX_POINTS bins below the max source distance raise
-    TooLarge before any is allocated.
+    (max source distance) / bins, or 1.0 when that quotient is 0.  A bin
+    count above COARSE_PD_MAX_POINTS raises TooLarge before any bin is
+    allocated.
     """
     if bins <= 0:
         raise ValueError("bins must be positive")
@@ -55,13 +55,14 @@ def profile_map(X: FiniteMetricSpace, image_dist, bins: int = 64) -> CoarseProfi
     iu = np.triu_indices(n, 1)
     t = X.dist[iu]
     s = image[iu]
-    tmax = float(t.max())
-    bin_width = tmax / bins if tmax > 0.0 else 1.0
-    steps = tmax / bin_width  # floor(steps) bins of width bin_width, then the one holding tmax
     cap = _point_cap()
-    if steps >= cap + 1:
-        raise TooLarge(f"{steps:.6g} bins exceeds cap {cap}")
-    nbins = int(np.floor(steps)) + 1
+    if bins > cap:  # compared as ints: a count beyond the float range cannot divide tmax
+        shown = f"{bins:.6g}" if bins < 1e308 else "more than 1e+308"
+        raise TooLarge(f"{shown} bins exceeds cap {cap}")
+    tmax = float(t.max())
+    bin_width = tmax / bins or 1.0  # 1.0 when tmax is 0 or the quotient underflows
+    # floor(tmax / bin_width) bins of width bin_width, then the one holding tmax
+    nbins = int(np.floor(tmax / bin_width)) + 1
     idx = np.minimum((t / bin_width).astype(int), nbins - 1)
     mins = np.full(nbins, np.nan)
     maxs = np.full(nbins, np.nan)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
-from coarsepd import Diagram, canonicalize, validate_metric
+from coarsepd import (
+    DELTA,
+    Diagram,
+    bottleneck_distance,
+    validate_metric,
+    wasserstein_distance,
+)
+from coarsepd.metrics import rounding_slack
+from coarsepd.oracle import delta
 
 
 def random_diagram(rng, max_size=5, scale=10.0, size=None):
@@ -16,7 +24,26 @@ def random_diagram(rng, max_size=5, scale=10.0, size=None):
         b = float(rng.uniform(0.0, scale))
         d = b + float(rng.uniform(1e-3, scale))
         pts.append((b, d))
-    return canonicalize(pts)
+    return Diagram(pts)
+
+
+def sandwich_holds(z, w, p):
+    """d_B <= d_W,p <= (2 max(n, m))^(1/p) d_B, both sides within rounding_slack.
+
+    The slack is taken at the larger side, max(d_W, factor * d_B).
+    """
+    d_b = bottleneck_distance(z, w)
+    d_w = wasserstein_distance(z, w, p)
+    factor = (2 * max(len(z), len(w))) ** (1.0 / p)
+    slack = rounding_slack(max(d_w, factor * d_b))
+    return d_b <= d_w + slack and d_w <= factor * d_b + slack
+
+
+def padded_cost(z, w, width):
+    """Point-by-point ``delta`` costs of z and w, each padded with DELTA to width."""
+    left = z.points + (DELTA,) * (width - len(z))
+    right = w.points + (DELTA,) * (width - len(w))
+    return np.array([[delta(a, b) for b in right] for a in left]).reshape(width, width)
 
 
 def random_connected_metric(rng, n):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from coarsepd import is_delta
+from coarsepd.oracle import is_delta
 
 
 def as_columns(points):

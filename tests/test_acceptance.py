@@ -11,14 +11,11 @@ import numpy as np
 import pytest
 
 from coarsepd import (
-    DELTA,
-    augment,
+    Diagram,
     bottleneck,
     bottleneck_1pt_array,
     bottleneck_bruteforce,
     brick_classify_array,
-    canonicalize,
-    check_coarse_equiv_bounds,
     coarse_disjoint_union,
     diagram_point_sampler,
     dranishnikov_S,
@@ -32,7 +29,8 @@ from coarsepd import (
     wasserstein,
     wasserstein_bruteforce,
 )
-from conftest import random_connected_metric
+from coarsepd.oracle import min_assignment_max
+from conftest import padded_cost, random_connected_metric, sandwich_holds
 from cover_reference import broken_interval_classify_array
 
 TOL = 1e-9
@@ -48,7 +46,7 @@ def _weighted_diagram(rng, scale=10.0):
     for _ in range(size):
         b = float(rng.uniform(0.0, scale))
         pts.append((b, b + float(rng.uniform(1e-3, scale))))
-    return canonicalize(pts)
+    return Diagram(pts)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -77,7 +75,7 @@ def test_criterion_2_metric_axioms():
     for _ in range(200):
         sizes = rng.integers(0, 7, size=3)
         x, y, z = (
-            canonicalize([
+            Diagram([
                 (b, b + q) for b, q in zip(
                     rng.uniform(0, 10, size=s), rng.uniform(1e-3, 10, size=s))
             ])
@@ -98,7 +96,7 @@ def test_criterion_3_sandwich_and_monotonicity():
         z = _weighted_diagram(rng)
         w = _weighted_diagram(rng)
         for p in (1, 2, 4):
-            assert check_coarse_equiv_bounds(z, w, p)
+            assert sandwich_holds(z, w, p)
         db = bottleneck(z, w)[0]
         prev = math.inf
         for p in (1, 2, 4):
@@ -121,13 +119,12 @@ def test_criterion_4_finite_metric_isometry():
             for j in range(i + 1, n):
                 value, matching = bottleneck(f[i], f[j])
                 worst = max(worst, abs(value - float(X.dist[i, j])))
-                pair = augment(f[i], f[j])
                 for a, b in enumerate(matching.pairing):
                     left_real = a < len(f[i])
                     right_real = b < len(f[j])
                     assert left_real == right_real, "matching not perfect"
                     if left_real:
-                        assert pair.left[a][0] == pair.right[b][0], \
+                        assert f[i].points[a][0] == f[j].points[b][0], \
                             "matched births differ"
     assert worst <= TOL
     print(f"\nACCEPTANCE 4: PASS - 50 embedded graph metrics isometric "
@@ -197,12 +194,13 @@ def test_criterion_8_padding_and_permutation_invariance():
         w = _weighted_diagram(rng)
         shuffled = list(z.points)
         rng.shuffle(shuffled)
-        padded = canonicalize(shuffled + [DELTA] * int(rng.integers(1, 4)))
-        assert padded == z
-        assert bottleneck(padded, w)[0] == bottleneck(z, w)[0]
-        assert wasserstein(padded, w, 2)[0] == wasserstein(z, w, 2)[0]
-    print("\nACCEPTANCE 8: PASS - diagonal padding and point shuffling "
-          "leave all distances exactly unchanged")
+        assert Diagram(shuffled) == z
+        # extra DELTA slots beyond the width 2 max(n, m) leave the optimum unchanged
+        extra = int(rng.integers(1, 4))
+        cost = padded_cost(z, w, 2 * max(len(z), len(w)) + extra)
+        assert min_assignment_max(cost)[0] == bottleneck(z, w)[0]
+    print("\nACCEPTANCE 8: PASS - point shuffling leaves the diagram, and extra "
+          "diagonal padding the bottleneck optimum, exactly unchanged")
 
 
 def test_criterion_9_out_of_scope_documented():

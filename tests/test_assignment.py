@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coarsepd.assignment import (
-    lex_min_perfect_matching,
-    min_assignment_max,
-    min_assignment_sum,
-    perfect_matching,
-)
+from coarsepd.assignment import lex_min_perfect_matching, perfect_matching
+from coarsepd.oracle import min_assignment_max, min_assignment_sum
 
 
 def enumerate_min(cost, combine):

@@ -14,7 +14,6 @@ import pytest
 from coarsepd import (
     Diagram,
     bottleneck,
-    canonicalize,
     distance_matrix,
     embed_finite_metric,
     profile_map,
@@ -81,7 +80,7 @@ class TestRoundTrip:
         pts = [[float(rng.uniform(0, 10)), 0.0] for _ in range(5)]
         for p in pts:
             p[1] = p[0] + float(rng.uniform(0.001, 10))
-        dgm = canonicalize(tuple(p) for p in pts)
+        dgm = Diagram([tuple(p) for p in pts])
         path = tmp_path / "d.json"
         cpio.save_diagram(dgm, path)
         assert cpio.load_diagram(path) == dgm
@@ -569,6 +568,19 @@ class TestProfile:
         assert captured.err == "error: 1e+12 bins exceeds cap 4096\n"
         assert main(["profile", path, path, "--bins", "4096"]) == 0
         assert len(json.loads(capsys.readouterr().out)["rho1"]) == 4097
+
+    def test_bins_beyond_float_range_exit5(self, tmp_path):
+        # int(--bins) has 401 digits; dividing by it as a float would overflow
+        main(["gen", "--zkm", "2", "1", "--out", str(tmp_path)])
+        path = str(tmp_path / "zkm_2_1.csv")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("COARSE_PD_MAX_POINTS", None)
+        result = subprocess.run(
+            [sys.executable, "-m", "coarsepd.cli", "profile", path, path, "--bins", "1" + "0" * 400],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert (result.returncode, result.stdout) == (5, "")
+        assert result.stderr == "error: more than 1e+308 bins exceeds cap 4096\n"
 
     def test_golden_digest(self, tmp_path, capsys, rng, monkeypatch):
         # 28 calls: four inputs, each with no --bins and with six bin counts; the

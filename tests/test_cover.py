@@ -13,11 +13,11 @@ from coarsepd import (
     brick_classify_array,
     diagram_point_sampler,
     interval_classify_array,
-    is_delta,
     line_sampler,
     verify_cover,
 )
 from coarsepd.cover import _BLOCK_TRIALS, DELTA_PROB, MAX_RECORDED_VIOLATIONS
+from coarsepd.oracle import is_delta
 from cover_reference import (
     as_columns,
     bottleneck_1pt,

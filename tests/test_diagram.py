@@ -1,4 +1,4 @@
-"""Point metric, canonicalization and augmentation."""
+"""Point metric, canonical diagrams and diagonal padding."""
 
 import math
 
@@ -6,16 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coarsepd import (
-    DELTA,
-    Diagram,
-    InvalidPoint,
-    augment,
-    canonicalize,
-    delta,
-    is_delta,
-    persistence,
-)
+from coarsepd import DELTA, Diagram, InvalidPoint
+from coarsepd.oracle import cost_matrix, delta, persistence
 
 
 def plane_points():
@@ -84,59 +76,65 @@ class TestPersistence:
 
 
 class TestCanonicalize:
-    def test_sorts_and_drops_delta(self):
-        dgm = canonicalize([(1.0, 2.0), DELTA, (0.0, 3.0)])
+    def test_sorts_and_rejects_delta(self):
+        dgm = Diagram([(1.0, 2.0), (0.0, 3.0)])
         assert dgm.points == ((0.0, 3.0), (1.0, 2.0))
-
-    def test_only_deltas_is_empty(self):
-        assert len(canonicalize([DELTA, DELTA])) == 0
+        with pytest.raises(InvalidPoint):
+            Diagram((DELTA,))
 
     def test_multiset_preserved(self):
-        dgm = canonicalize([(0.0, 3.0), (0.0, 3.0)])
+        dgm = Diagram([(0.0, 3.0), (0.0, 3.0)])
         assert dgm.points == ((0.0, 3.0), (0.0, 3.0))
 
     def test_rejects_invalid_points(self):
         with pytest.raises(InvalidPoint):
-            canonicalize([(3.0, 1.0)])
+            Diagram([(3.0, 1.0)])
         with pytest.raises(InvalidPoint):
-            canonicalize([(-1.0, 2.0)])
+            Diagram([(-1.0, 2.0)])
         with pytest.raises(InvalidPoint):
-            canonicalize([(0.0, math.inf)])
+            Diagram([(0.0, math.inf)])
 
     def test_coordinates_must_be_real_numbers(self):
         with pytest.raises(InvalidPoint):
-            canonicalize([("3", "4.5")])
+            Diagram([("3", "4.5")])
         with pytest.raises(InvalidPoint):
-            canonicalize([(True, 5)])
-        dgm = canonicalize([(np.float64(3.0), np.float64(4.5))])
+            Diagram([(True, 5)])
+        dgm = Diagram([(np.float64(3.0), np.float64(4.5))])
         assert dgm.points == ((3.0, 4.5),) and type(dgm.points[0][0]) is float
 
     @given(st.lists(plane_points(), max_size=6), st.randoms())
     def test_permutation_invariant_and_idempotent(self, pts, pyrandom):
         shuffled = list(pts)
         pyrandom.shuffle(shuffled)
-        a = canonicalize(pts)
-        b = canonicalize(shuffled)
+        a = Diagram(pts)
+        b = Diagram(shuffled)
         assert a == b
-        assert canonicalize(a.points) == a
+        assert Diagram(a.points) == a
+
+
+def delta_slots(cost):
+    """Counts of DELTA rows and DELTA columns of a padded cost matrix.
+
+    The last row and the last column are DELTA slots, and a DELTA slot costs
+    0 against exactly the DELTA slots, since every plane point has positive
+    persistence.
+    """
+    return int((cost[:, -1] == 0.0).sum()), int((cost[-1] == 0.0).sum())
 
 
 class TestAugment:
     def test_unequal_sizes(self):
-        z = canonicalize([(0.0, 1.0), (0.0, 2.0)])
-        w = canonicalize([(0.0, 3.0)])
-        pair = augment(z, w)
-        assert pair.width == 4
-        assert sum(is_delta(p) for p in pair.right) == 3
-        assert sum(is_delta(p) for p in pair.left) == 2
+        z = Diagram([(0.0, 1.0), (0.0, 2.0)])
+        w = Diagram([(0.0, 3.0)])
+        cost = cost_matrix(z, w)
+        assert cost.shape == (4, 4)
+        assert delta_slots(cost) == (2, 3)
 
     def test_empty(self):
-        pair = augment(Diagram(), Diagram())
-        assert pair.width == 0
+        assert cost_matrix(Diagram(), Diagram()).shape == (0, 0)
 
     def test_equal_sizes_append_n_deltas(self):
-        z = canonicalize([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
-        pair = augment(z, z)
-        assert pair.width == 6
-        assert sum(is_delta(p) for p in pair.left) == 3
-        assert sum(is_delta(p) for p in pair.right) == 3
+        z = Diagram([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
+        cost = cost_matrix(z, z)
+        assert cost.shape == (6, 6)
+        assert delta_slots(cost) == (3, 3)

@@ -17,7 +17,6 @@ from coarsepd import (
     NonpositiveSeparation,
     OutOfCube,
     TooLarge,
-    augment,
     bottleneck,
     coarse_disjoint_union,
     dranishnikov_S,
@@ -173,13 +172,12 @@ class TestEmbedFiniteMetric:
                 for j in range(i + 1, n):
                     value, matching = bottleneck(f[i], f[j])
                     assert value == pytest.approx(X.dist[i, j], abs=1e-9)
-                    pair = augment(f[i], f[j])
                     for a, b in enumerate(matching.pairing):
                         left_real = a < len(f[i])
                         right_real = b < len(f[j])
                         assert left_real == right_real  # perfect
                         if left_real:
-                            assert pair.left[a][0] == pair.right[b][0]  # equal births
+                            assert f[i].points[a][0] == f[j].points[b][0]  # equal births
 
     def test_fact3_inequality(self, rng):
         X = random_connected_metric(rng, 6)

@@ -19,13 +19,10 @@ from coarsepd import (
     InvalidPoint,
     Matching,
     OversizeForOracle,
-    augment,
     bottleneck,
     bottleneck_1pt_array,
     bottleneck_bruteforce,
     bottleneck_distance,
-    canonicalize,
-    check_coarse_equiv_bounds,
     describe_matching,
     distance_matrix,
     dranishnikov_S,
@@ -37,14 +34,15 @@ from coarsepd import (
     zkm_space,
 )
 from coarsepd import metrics
-from coarsepd.assignment import lex_min_perfect_matching, min_assignment_max, min_assignment_sum
-from coarsepd.metrics import _cost, _tight_edges, cost_matrix, rounding_slack
-from conftest import random_diagram
+from coarsepd.assignment import lex_min_perfect_matching
+from coarsepd.metrics import _cost, _tight_edges, rounding_slack
+from coarsepd.oracle import cost_matrix, min_assignment_max, min_assignment_sum
+from conftest import padded_cost, random_diagram, sandwich_holds
 from cover_reference import as_columns
 
 
 def d(*pts):
-    return canonicalize(pts)
+    return Diagram(pts)
 
 
 def bottleneck_1pt(a, b):
@@ -70,7 +68,7 @@ class TestBottleneckBruteforce:
         assert matching.pairing == (1, 0)
 
     def test_oversize_guard(self):
-        z = canonicalize([(i, i + 1.0) for i in range(6)])
+        z = Diagram([(i, i + 1.0) for i in range(6)])
         with pytest.raises(OversizeForOracle):
             bottleneck_bruteforce(z, z)
 
@@ -177,14 +175,14 @@ class TestOracleEquivalence:
         def half_grid(size):
             # half-integer coordinates force cost ties
             births, lengths = rng.integers(0, 12, size), rng.integers(1, 8, size)
-            return canonicalize(zip((births / 2).tolist(), ((births + lengths) / 2).tolist()))
+            return Diagram(list(zip((births / 2).tolist(), ((births + lengths) / 2).tolist())))
 
         for _ in range(4):
             z, w = half_grid(7), half_grid(int(rng.integers(0, 8)))
-            pair = augment(z, w)
-            assert pair.width == 14
+            cost = cost_matrix(z, w)
+            assert cost.shape == (14, 14)
             value, m = bottleneck(z, w)
-            assert (value, m.pairing) == min_assignment_max(cost_matrix(pair.left, pair.right))
+            assert (value, m.pairing) == min_assignment_max(cost)
 
     def test_tight_edge_pairing_above_width_12(self, rng):
         # small integers keep every sum exact, so optimal means exactly optimal
@@ -218,20 +216,21 @@ class TestMetricAxioms:
 
 class TestInvariances:
     def test_padding_invariance(self, rng):
+        # two more DELTA slots a side than the width 2 max(n, m) change no optimum
         for _ in range(25):
             z = random_diagram(rng, max_size=3)
             w = random_diagram(rng, max_size=3)
-            padded = canonicalize(list(z.points) + [DELTA, DELTA])
-            assert padded == z
-            assert bottleneck(padded, w)[0] == bottleneck(z, w)[0]
-            assert wasserstein(padded, w, 2)[0] == wasserstein(z, w, 2)[0]
+            cost = padded_cost(z, w, 2 * max(len(z), len(w)) + 2)
+            assert min_assignment_max(cost)[0] == bottleneck(z, w)[0]
+            assert min_assignment_sum(cost ** 2)[0] ** 0.5 == pytest.approx(
+                wasserstein(z, w, 2)[0], abs=1e-9)
 
     def test_permutation_invariance(self, rng):
         for _ in range(25):
             z = random_diagram(rng, max_size=4)
             shuffled = list(z.points)
             rng.shuffle(shuffled)
-            assert canonicalize(shuffled) == z
+            assert Diagram(shuffled) == z
 
     def test_monotone_in_p(self, rng):
         for _ in range(25):
@@ -248,17 +247,17 @@ class TestInvariances:
 
 class TestSandwichBounds:
     def test_worked_example(self):
-        assert check_coarse_equiv_bounds(d((0, 4)), d((3, 6)), 1)
+        assert sandwich_holds(d((0, 4)), d((3, 6)), 1)
 
     def test_equal_diagrams(self, rng):
         z = random_diagram(rng)
-        assert check_coarse_equiv_bounds(z, z, 2)
+        assert sandwich_holds(z, z, 2)
 
     def test_random_pairs(self, rng):
         for _ in range(30):
             z = random_diagram(rng, max_size=3)
             w = random_diagram(rng, max_size=3)
-            assert check_coarse_equiv_bounds(z, w, 2)
+            assert sandwich_holds(z, w, 2)
 
     @pytest.mark.parametrize("z,w,p", [
         (((701949476.3859894, 1158380098.2675455),),
@@ -270,7 +269,7 @@ class TestSandwichBounds:
         # d_W rounds one ulp (1.5e-8) below d_B here, which an absolute 1e-9 did not allow
         z, w = Diagram(z), Diagram(w)
         assert wasserstein_distance(z, w, p) < bottleneck_distance(z, w)
-        assert check_coarse_equiv_bounds(z, w, p)
+        assert sandwich_holds(z, w, p)
 
 
 class TestRoundingSlack:
@@ -304,25 +303,18 @@ class TestMatchingOutput:
         assert sorted(m.pairing) == list(range(len(m.pairing)))
 
     def test_matching_cost_consistent(self, rng):
-        from coarsepd import augment, delta as point_delta
         for _ in range(20):
             z = random_diagram(rng, max_size=4)
             w = random_diagram(rng, max_size=4)
-            pair = augment(z, w)
+            cost = cost_matrix(z, w)
             value, m = bottleneck(z, w)
-            if pair.width:
-                realized = max(
-                    point_delta(pair.left[i], pair.right[j])
-                    for i, j in enumerate(m.pairing)
-                )
+            if cost.size:
+                realized = max(cost[i, j] for i, j in enumerate(m.pairing))
                 assert realized == pytest.approx(value, abs=1e-12)
             for p in (2, 50):
                 vp, mp = wasserstein(z, w, p)
-                if pair.width:
-                    realized = sum(
-                        point_delta(pair.left[i], pair.right[j]) ** p
-                        for i, j in enumerate(mp.pairing)
-                    ) ** (1 / p)
+                if cost.size:
+                    realized = sum(cost[i, j] ** p for i, j in enumerate(mp.pairing)) ** (1 / p)
                     assert realized == pytest.approx(vp, abs=1e-9)
 
 
@@ -332,15 +324,15 @@ def diagrams(max_size=9):
         lambda t: (t[0] / 4, (t[0] + t[1]) / 4))
     free = st.tuples(st.floats(0.0, 10.0), st.floats(1e-3, 10.0)).map(
         lambda t: (t[0], t[0] + t[1]))
-    return st.lists(st.one_of(grid, free), max_size=max_size).map(canonicalize)
+    return st.lists(st.one_of(grid, free), max_size=max_size).map(Diagram)
 
 
 # One point against two copies of it: every row and column has a zero cost,
 # but one copy must go to the diagonal at cost 1.5.
 BOUND_BELOW_OPTIMUM = (d((1, 4)), d((1, 4), (1, 4)))
 # Seven points a side: augmented width 14, past the brute-force oracles' limit of 10.
-WIDE = (canonicalize([(i, i + 2.0) for i in range(7)]),
-        canonicalize([(i + 0.5, i + 3.0) for i in range(7)]))
+WIDE = (Diagram([(i, i + 2.0) for i in range(7)]),
+        Diagram([(i + 0.5, i + 3.0) for i in range(7)]))
 
 
 class TestCostBuilder:
@@ -351,8 +343,7 @@ class TestCostBuilder:
     @example(d((0, 2), (1, 4)), Diagram())
     @example(*WIDE)
     def test_block_builder_equals_per_pair_reference(self, z, w):
-        pair = augment(z, w)
-        built, reference = _cost(z, w), cost_matrix(pair.left, pair.right)
+        built, reference = _cost(z, w), cost_matrix(z, w)
         assert built.dtype == reference.dtype and built.shape == reference.shape
         assert built.tobytes() == reference.tobytes()
 
@@ -360,8 +351,7 @@ class TestCostBuilder:
 class TestValueOnly:
     def test_lower_bound_can_be_below_optimum(self):
         z, w = BOUND_BELOW_OPTIMUM
-        pair = augment(z, w)
-        cost = cost_matrix(pair.left, pair.right)
+        cost = cost_matrix(z, w)
         bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
         assert bound == 0.0
         assert bottleneck_distance(z, w) == bottleneck(z, w)[0] == 1.5
@@ -467,7 +457,7 @@ class TestOneSolvePerMatchedDistance:
 def integer_diagrams(max_size=5):
     """Diagrams on a small integer grid: many cost ties and duplicate points."""
     point = st.tuples(st.integers(0, 4), st.integers(1, 4)).map(lambda t: (t[0], t[0] + t[1]))
-    return st.lists(point, max_size=max_size).map(canonicalize)
+    return st.lists(point, max_size=max_size).map(Diagram)
 
 
 @pytest.fixture

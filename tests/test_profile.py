@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from coarsepd import (
     Diagram,
     EmptySpace,
+    FiniteMetricSpace,
     MetricValidationError,
     SizeMismatch,
     TooLarge,
@@ -108,8 +109,18 @@ class TestProfileMap:
     def test_too_many_bins_rejected(self, rng, monkeypatch):
         monkeypatch.setenv("COARSE_PD_MAX_POINTS", "4096")
         X = random_connected_metric(rng, 4)
-        with pytest.raises(TooLarge, match="^.* bins exceeds cap 4096$"):
-            profile_map(X, X.dist, 10**300)
+        # A count beyond the float range, and one whose bin width underflows to 0.
+        tiny = FiniteMetricSpace(("a", "b"), [[0.0, 1e-300], [1e-300, 0.0]])
+        for space, bins in ((X, 10**300), (X, 10**400), (tiny, 10**30)):
+            with pytest.raises(TooLarge, match="^.* bins exceeds cap 4096$"):
+                profile_map(space, space.dist, bins)
+
+    @pytest.mark.parametrize("distance", [0.0, 5e-324])
+    def test_zero_bin_width_falls_back_to_one(self, distance):
+        # tmax / bins is 0 for tmax 0, and underflows to 0 at the smallest subnormal
+        X = FiniteMetricSpace(("a", "b"), [[0.0, distance], [distance, 0.0]])
+        prof = profile_map(X, X.dist, 2)
+        assert prof.bin_width == 1.0 and prof.bin_edges.tolist() == [0.0, 1.0]
 
     def test_shape_mismatch(self, rng):
         X = random_connected_metric(rng, 4)
