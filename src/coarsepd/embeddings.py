@@ -29,18 +29,33 @@ from .errors import (
 from .metrics import distance_matrix, rounding_slack
 
 _PAIR_KINDS = ("not_symmetric", "negative", "zero_off_diagonal")
+_BLOCK_CELLS = 1 << 16
+
+
+def _rows_per_block(n: int) -> int:
+    """Rows of n cells in a block of about _BLOCK_CELLS, for the (n, n) loops that go by blocks."""
+    return max(1, _BLOCK_CELLS // max(n, 1))
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
-    """Labeled point set with a distance matrix; only validate_metric checks the axioms."""
+    """Labeled point set with a distance matrix; only validate_metric checks the axioms.
+
+    dist is held read-only.  A read-only float64 array that owns its data is
+    kept as it is, which is how validate_metric, zkm_space and
+    coarse_disjoint_union hand over the matrix they built; anything else is
+    copied, so a caller's array is neither frozen nor shared.
+    """
 
     labels: tuple[str, ...]
     dist: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.array(self.dist, dtype=float)
-        mat.flags.writeable = False
+        mat = self.dist
+        if not (isinstance(mat, np.ndarray) and mat.dtype == np.float64
+                and mat.base is None and not mat.flags.writeable):
+            mat = np.array(mat, dtype=float)
+            mat.flags.writeable = False
         object.__setattr__(self, "dist", mat)
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         if mat.shape != (len(self.labels), len(self.labels)):
@@ -65,10 +80,21 @@ def validate_metric(matrix, labels: Optional[Sequence[str]] = None) -> FiniteMet
     MetricValidationError listing violations: non_finite, then
     nonzero_diagonal, then the per-pair kinds, then triangle by k; the
     error class gives the exact order and the witness tuples.
+
+    The triangle check by k runs only on the rows that an exact screen
+    flags, so a metric runs none.  With lo = fmin(d, d.T), hi = fmax(d, d.T)
+    and best(i,j) = fmin over all k of lo(i,k) + lo(k,j), rows i and j are
+    flagged when hi(i,j) > best(i,j) + slack.  No violation d(i,j) >
+    (d(i,k) + d(k,j)) + slack is missed: hi(i,j) >= d(i,j), and float
+    addition is monotone, so best(i,j) + slack <= (lo(i,k) + lo(k,j)) +
+    slack <= (d(i,k) + d(k,j)) + slack.  fmin skips a NaN sum of lo; that
+    needs two NaN entries or an inf in the triple, and then d(i,k) + d(k,j)
+    is NaN or inf, which no entry exceeds.
     """
     mat = np.array(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    mat.flags.writeable = False  # the returned space takes it without a copy
     n = mat.shape[0]
     if labels is None:
         labels = [f"x{i}" for i in range(n)]
@@ -84,18 +110,41 @@ def validate_metric(matrix, labels: Optional[Sequence[str]] = None) -> FiniteMet
                         axis=-1)
         pair &= ~np.tri(n, dtype=bool)[:, :, None]
         violations += [(_PAIR_KINDS[c], i, j) for i, j, c in np.argwhere(pair).tolist()]
-        via, bad = np.empty_like(mat), np.empty(mat.shape, dtype=bool)
-        for k in range(n):  # via = (d(i,k) + d(k,j)) + slack, faster than broadcasting
+        rows = _triangle_rows(mat, slack).tolist()
+        sub = mat[rows]
+        via, bad = np.empty_like(sub), np.empty(sub.shape, dtype=bool)
+        for k in range(n) if rows else ():  # via = (d(i,k) + d(k,j)) + slack
             np.copyto(via, mat[k])
-            via += mat[:, k, None]
+            via += sub[:, k, None]
             via += slack
-            np.greater(mat, via, out=bad)
+            np.greater(sub, via, out=bad)
             if bad.any():
-                violations += [("triangle", i, j, k) for i, j in np.argwhere(bad).tolist()
-                               if i != j and i != k and j != k]
+                violations += [("triangle", rows[r], j, k) for r, j in np.argwhere(bad).tolist()
+                               if rows[r] != j and rows[r] != k and j != k]
     if violations:
         raise MetricValidationError(violations)
     return FiniteMetricSpace(tuple(labels), mat)
+
+
+def _triangle_rows(mat: np.ndarray, slack: float) -> np.ndarray:
+    """Ascending rows flagged by validate_metric's triangle screen (see there).
+
+    lo and best are symmetric, so only j >= i is filled, one row i at a
+    time, from blocks of the contiguous rows lo[j] (lo(k,j) = lo(j,k)) small
+    enough to stay in cache.  Call it under np.errstate(invalid="ignore",
+    over="ignore"), as validate_metric does.
+    """
+    n = len(mat)
+    step = _rows_per_block(n)
+    lo = np.fmin(mat, mat.T)
+    best = np.zeros_like(mat)
+    buf = np.empty((min(step, n), n))
+    for i in range(n):
+        for j in range(i, n, step):
+            terms = np.add(lo[j:j + step], lo[i], out=buf[:min(step, n - j)])
+            np.fmin.reduce(terms, axis=1, out=best[i, j:j + step])
+    flag = np.triu(np.fmax(mat, mat.T) > best + slack)
+    return np.flatnonzero(flag.any(axis=0) | flag.any(axis=1))
 
 
 def check_isometry(X: FiniteMetricSpace, diagrams: Sequence[Diagram]) -> float:
@@ -160,13 +209,18 @@ def embed_cube_point(x: Sequence[float], R: float) -> Diagram:
 def sup_distances(coords, period: float = math.inf) -> np.ndarray:
     """max over i of min(|x_i - y_i|, period - |x_i - y_i|), for all pairs of rows x, y of coords.
 
-    A running max over the columns, so no (n, n, m) array is built.
+    A running max over the columns, a block of rows at a time, so the only
+    (n, n) array is the result.
     """
-    dist = np.zeros((len(coords),) * 2)
-    for col in coords.T:  # in place, so that at most two (n, n) arrays sit beside dist
-        diff = col[:, None] - col
-        np.abs(diff, out=diff)
-        np.maximum(dist, np.minimum(diff, period - diff, out=diff), out=dist)
+    n = len(coords)
+    dist = np.zeros((n, n))
+    step = _rows_per_block(n)
+    for lo in range(0, n, step):
+        out = dist[lo:lo + step]
+        for col in coords.T:
+            diff = col[lo:lo + step, None] - col
+            np.abs(diff, out=diff)
+            np.maximum(out, np.minimum(diff, period - diff, out=diff), out=out)
     return dist
 
 
@@ -212,7 +266,9 @@ def zkm_space(k: int, m: int) -> FiniteMetricSpace:
     _check_cap(_grid_points(k, m), f"{k}^{m} = ")
     coords = np.array(list(itertools.product(range(k), repeat=m)), dtype=np.int32)
     labels = ["-".join(str(c) for c in row) for row in coords]
-    return FiniteMetricSpace(tuple(labels), sup_distances(coords, period=k))
+    dist = sup_distances(coords, period=k)
+    dist.flags.writeable = False  # the space takes it without a copy
+    return FiniteMetricSpace(tuple(labels), dist)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,6 +316,7 @@ def coarse_disjoint_union(blocks: Sequence[FiniteMetricSpace],
     offsets = tuple(itertools.accumulate(sizes, initial=0))
     for b, lo, hi in zip(blocks, offsets, offsets[1:]):
         dist[lo:hi, lo:hi] = b.dist
+    dist.flags.writeable = False  # the space takes it without a copy
     labels = [f"{bi}:{lab}" for bi, b in enumerate(blocks) for lab in b.labels]
     return BlockedSpace(FiniteMetricSpace(tuple(labels), dist), offsets, radius, block_meta)
 

@@ -4,16 +4,29 @@ Diagram files are JSON objects {"points": [[birth, death], ...]}; point
 order is irrelevant, as a loaded Diagram keeps its points sorted.  Metric
 files are CSV with a first row of labels followed by the distance matrix.
 Floats are written with full round-trip precision.
+
+load_metric parses the matrix with numpy's C parser (np.loadtxt).  A body
+it rejects, or whose shape does not match the labels, is read again with
+csv and float(), the parse that alone decides acceptance and words every
+error.  loadtxt splits lines and cells as csv does for unquoted cells, and
+accepts a subset of what float() does (no quotes, underscores or
+non-ASCII digits), with the same value.  A warning from loadtxt, or a
+line longer than the csv field limit, also takes the csv path, which
+rejects an overlong cell.  So both parses accept the same files and give
+the same matrix bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
+import numpy as np
+
 from .diagram import Diagram
-from .embeddings import FiniteMetricSpace, validate_metric
+from .embeddings import FiniteMetricSpace, _rows_per_block, validate_metric
 
 
 def load_diagram(path) -> Diagram:
@@ -37,11 +50,29 @@ def save_diagram(diagram: Diagram, path) -> None:
 def load_metric(path) -> FiniteMetricSpace:
     """Read a labels+matrix CSV and validate the metric axioms."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
+        labels = next(filter(None, csv.reader(fh)), None)
+        lines = fh.readlines()
+    matrix = None
+    # A csv field lies within one line, so no line above the limit means no field is.
+    if labels is not None and max(map(len, lines), default=0) <= csv.field_size_limit():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # as on a body with no rows: take the csv path
+                matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, Warning):
+            pass
+    if matrix is None or matrix.shape != (len(labels),) * 2:
+        labels, matrix = _read_rows(path)
+    return validate_metric(matrix, [c.strip() for c in labels])
+
+
+def _read_rows(path) -> tuple[list[str], list[list[float]]]:
+    """Labels and matrix by csv and float(): the parse that words every rejection."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r]
     if len(rows) < 2:
         raise ValueError(f"{path}: expected a label row plus matrix rows")
-    labels = [c.strip() for c in rows[0]]
+    labels = rows[0]
     try:
         matrix = [[float(c) for c in row] for row in rows[1:]]
     except ValueError as exc:
@@ -54,12 +85,21 @@ def load_metric(path) -> FiniteMetricSpace:
                     raise ValueError(f"{path}: matrix row {i}, column {j}: {exc}") from None
     if len(matrix) != len(labels) or any(len(r) != len(labels) for r in matrix):
         raise ValueError(f"{path}: matrix shape does not match label count")
-    return validate_metric(matrix, labels)
+    return labels, matrix
 
 
 def save_metric(space: FiniteMetricSpace, path) -> None:
+    """Write labels and matrix as CSV, each value as repr(float(v)).
+
+    repr is taken once per distinct bit pattern of a block of rows (so -0.0
+    keeps its sign), and the rows are joined as csv.writer would write them.
+    """
+    step = _rows_per_block(space.n_points)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(space.labels)
-        for row in space.dist:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(space.labels)
+        for lo in range(0, space.n_points, step):
+            block = space.dist[lo:lo + step]
+            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            cells = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+            rows = cells[inverse.reshape(block.shape)].tolist()
+            fh.writelines(",".join(row) + "\r\n" for row in rows)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +28,8 @@ from coarsepd import (
     wasserstein,
     zkm_space,
 )
-from coarsepd.embeddings import sup_distances
+from coarsepd.embeddings import _triangle_rows, sup_distances
+from coarsepd.metrics import rounding_slack
 from conftest import random_connected_metric
 
 
@@ -37,15 +39,19 @@ TOL_GRID = [0.0, 1e-9, -1e-9, 2e-9, 0.5, 1.0, 1.5, 2.0, 3.0, -1.0]
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
-def oracle_violations(m, tol=1e-9):
-    """Plain triple loop over the axioms, in validate_metric's documented order."""
+def oracle_violations(m, tol=1e-9, slack=None):
+    """Plain triple loop over the axioms, in validate_metric's documented order.
+
+    Entries count as zero within tol; the symmetric and triangle checks allow
+    slack, tol by default."""
+    slack = tol if slack is None else slack
     n = len(m)
     out = [("non_finite", i, j) for i in range(n) for j in range(n)
            if not math.isfinite(m[i][j])]
     out += [("nonzero_diagonal", i) for i in range(n) if abs(m[i][i]) > tol]
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(m[i][j] - m[j][i]) > tol:
+            if abs(m[i][j] - m[j][i]) > slack:
                 out.append(("not_symmetric", i, j))
             if m[i][j] < -tol:
                 out.append(("negative", i, j))
@@ -54,7 +60,7 @@ def oracle_violations(m, tol=1e-9):
     for k in range(n):
         for i in range(n):
             for j in range(n):
-                if len({i, j, k}) == 3 and m[i][j] > (m[i][k] + m[k][j]) + tol:
+                if len({i, j, k}) == 3 and m[i][j] > (m[i][k] + m[k][j]) + slack:
                     out.append(("triangle", i, j, k))
     return out
 
@@ -121,6 +127,98 @@ class TestValidateMetric:
         except MetricValidationError as err:
             got = err.violations
         assert got == expected
+
+
+# Entries whose sums and differences overflow, beside the non-finite ones.
+BIG_GRID = [0.0, 1.0, 2.0, 1e308, 1.7e308, -1e308, math.nan, math.inf, -math.inf]
+
+
+def finite_slack(rows):
+    """validate_metric's slack: rounding_slack of the largest finite |entry|."""
+    return rounding_slack(max((abs(v) for r in rows for v in r if math.isfinite(v)), default=0.0))
+
+
+def violations_of(mat):
+    try:
+        validate_metric(mat)
+    except MetricValidationError as err:
+        return err.violations
+    return []
+
+
+class TestTriangleScreen:
+    """validate_metric runs its triangle loop only on the rows _triangle_rows flags."""
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_only_reverse_entry_breaks_triangle(self, n):
+        line = [[float(abs(a - b)) for b in range(n)] for a in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            rows = [r[:] for r in line]
+            rows[j][i] += 3.0  # d(j, i) breaks the triangle; d(i, j) keeps its metric value
+            expected = oracle_violations(rows)
+            triangles = [v for v in expected if v[0] == "triangle"]
+            assert triangles and all(v[1:3] == (j, i) for v in triangles)
+            assert violations_of(np.array(rows)) == expected
+
+    @given(st.data())
+    def test_non_finite_and_overflowing_entries(self, data):
+        n = data.draw(st.integers(3, 6))
+        rows = [[data.draw(st.sampled_from(BIG_GRID)) for _ in range(n)] for _ in range(n)]
+        if data.draw(st.booleans()):
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        for i in range(n):
+            rows[i][i] = 0.0
+        expected = oracle_violations(rows, slack=finite_slack(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert violations_of(np.array(rows)) == expected
+
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_planted_violation_flags_its_two_rows(self, rng, n):
+        # distinct points of a 20 x 20 grid under the max metric, one pair moved apart
+        cells = rng.choice(400, size=n, replace=False)
+        mat = sup_distances(np.stack([cells // 20, cells % 20], axis=1).astype(float))
+        i, j = sorted(int(v) for v in rng.choice(np.argwhere(mat >= 4.0)))
+        assert _triangle_rows(mat, 1e-9).tolist() == []
+        mat[i, j] = mat[j, i] = mat[i, j] + 0.5
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert _triangle_rows(mat, 1e-9).tolist() == [i, j]
+        rows = mat.tolist()
+        if n <= 40:
+            expected = oracle_violations(rows)
+        else:  # the oracle's triangle loop over the two rows that can hold a witness
+            expected = [("triangle", a, b, k) for k in range(n) for a, b in ((i, j), (j, i))
+                        if k not in (a, b) and rows[a][b] > (rows[a][k] + rows[k][b]) + 1e-9]
+        assert expected and violations_of(mat) == expected
+
+
+class TestOwnership:
+    def test_caller_array_left_writeable_and_unchanged(self):
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        frozen_view = a.view()
+        frozen_view.flags.writeable = False
+        for space in (FiniteMetricSpace(("p", "q"), a), validate_metric(a),
+                      FiniteMetricSpace(("p", "q"), frozen_view)):
+            assert a.flags.writeable and a.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+            assert not space.dist.flags.writeable and not np.shares_memory(space.dist, a)
+
+    def test_built_matrix_taken_without_copy(self):
+        X = zkm_space(3, 2)
+        assert FiniteMetricSpace(X.labels, X.dist).dist is X.dist
+        U = coarse_disjoint_union([X, X], [1.0, 1.0])
+        assert FiniteMetricSpace(U.space.labels, U.space.dist).dist is U.space.dist
+        for space in (X, U.space, validate_metric(X.dist)):
+            assert not space.dist.flags.writeable and space.dist.base is None
+
+    def test_zkm_peak_is_one_matrix(self):
+        # the matrix is 8 MB; a copy of it or an (n, n) temporary would double the peak
+        tracemalloc.start()
+        try:
+            X = zkm_space(32, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.dist.nbytes == 8 * 1024 ** 2 and peak < 1.25 * X.dist.nbytes
 
 
 class TestEmbedFiniteMetric:
@@ -228,7 +326,7 @@ class TestEmbedCube:
 
 
 class TestSupDistances:
-    @pytest.mark.parametrize("n,m", [(1, 1), (7, 1), (20, 3), (33, 5)])
+    @pytest.mark.parametrize("n,m", [(1, 1), (7, 1), (20, 3), (33, 5), (300, 2)])
     def test_matches_broadcast(self, rng, n, m):
         k = int(rng.integers(1, 9))
         grid = rng.integers(0, k, size=(n, m)).astype(np.int32)
