@@ -9,6 +9,7 @@ large, 6 verification deviation beyond tolerance.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -170,8 +171,8 @@ def _cmd_gen(args) -> int:
         if not math.isfinite(2.0 * (n + 1) * radius + radius):
             raise ValueError(f"R must be small enough that 2 (N + 1) R + R is finite, "
                              f"got {args.cube[1]}")
-        out_dir.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng(args.seed)
+        out_dir.mkdir(parents=True, exist_ok=True)
         points = rng.uniform(0.0, radius, size=(samples, n))
         diagrams = [embed_cube_point(x, radius) for x in points]
         files = _save_diagrams(diagrams, out_dir, "cube")
@@ -363,7 +364,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (CoarsePDError, ValueError, OSError) as exc:
+    except (CoarsePDError, ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -12,10 +12,10 @@ at every width; ``bottleneck_distance``, ``wasserstein_distance`` and
 ``distance_matrix`` return the same values without one.  The solvers build
 the padded cost matrix in blocks from coordinate arrays.
 ``distance_matrix`` decides most bottleneck pairs without a solver call: it
-puts every diagram into one padded coordinate array and, row by row,
-certifies the lower bound of the threshold search with a greedy
-nearest-point matching; only the pairs the certificate declines go to
-``bottleneck_distance``.
+puts every diagram into one coordinate array padded with +inf and, row by
+row, certifies the lower bound of the threshold search between the row's
+own points and every later diagram with a greedy nearest-point matching;
+only the pairs the certificate declines go to ``bottleneck_distance``.
 """
 
 from __future__ import annotations
@@ -200,18 +200,17 @@ def _certify_lower_bound(a: np.ndarray, pa: np.ndarray, b: np.ndarray,
                          pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower bound L of d_B between z and each w_r, and whether it is d_B.
 
-    ``a`` (K, 2) holds z's points and ``b`` (B, K, 2) those of each w_r,
-    padded to K rows with -inf in ``a`` and +inf in ``b``, so that every
-    cost against a padding slot is +inf; ``pa`` (K,) and ``pb`` (B, K) are
-    their persistences, zero-padded.  L is the bound ``_bottleneck_value``
-    tests first, built from the same float expressions as ``_cost``: the
-    largest row or column minimum of the padded matrix, whose DELTA rows
-    and columns have minimum 0.  Each point of z goes to its nearest point
-    of w_r when that costs <= L, and to DELTA otherwise.  If those choices
-    are injective and every unchosen point of w_r has persistence <= L,
-    they extend to a perfect matching of the width-2 max(n, m) matrix
-    within L (there are W - m >= n DELTA columns and W - n >= m DELTA
-    rows), so d_B = L exactly.
+    ``a`` (n, 2) holds z's own points and ``b`` (B, K, 2) those of each w_r,
+    padded to K rows with +inf, so every cost against a padding slot is
+    +inf; ``pa`` (n,) and ``pb`` (B, K) are their persistences, zero-padded.
+    L is the bound ``_bottleneck_value`` tests first, built from the same
+    float expressions as ``_cost``: the largest row or column minimum of the
+    padded matrix, whose DELTA rows and columns have minimum 0 (an empty z
+    gives L = max pb).  Each point of z goes to its nearest point of w_r when
+    that costs <= L, and to DELTA otherwise.  If those choices are injective
+    and every unchosen point of w_r has persistence <= L, they extend to a
+    perfect matching of the width-2 max(n, m) matrix within L (there are
+    W - m >= n DELTA columns and W - n >= m DELTA rows), so d_B = L exactly.
     """
     sup = a[:, None, 0] - b[:, None, :, 0]
     np.abs(sup, out=sup)
@@ -219,9 +218,9 @@ def _certify_lower_bound(a: np.ndarray, pa: np.ndarray, b: np.ndarray,
     np.abs(dy, out=dy)
     np.maximum(sup, dy, out=sup)
     nearest = sup.argmin(axis=2)
-    near = np.take_along_axis(sup, nearest[:, :, None], axis=2)[:, :, 0]
-    bound = np.maximum(np.minimum(near, pa).max(axis=1),
-                       np.minimum(sup.min(axis=1), pb).max(axis=1))
+    near = sup.min(axis=2)
+    bound = np.maximum(np.minimum(near, pa).max(axis=1, initial=0.0),
+                       np.minimum(sup.min(axis=1, initial=np.inf), pb).max(axis=1))
     chosen = near <= bound[:, None]
     k = pb.shape[1]
     hits = np.bincount(np.nonzero(chosen)[0] * k + nearest[chosen],
@@ -233,31 +232,30 @@ def _certify_lower_bound(a: np.ndarray, pa: np.ndarray, b: np.ndarray,
 def _bottleneck_matrix(rows: list[Diagram]) -> np.ndarray:
     """Upper triangle of the all-pairs d_B matrix; see ``_certify_lower_bound``.
 
-    Every diagram is converted once into a NaN-padded (N, K, 2) array.  Each
-    row is certified against all later diagrams at once, in blocks of at
-    most _BLOCK_ENTRIES costs; declined pairs go to ``bottleneck_distance``.
+    Every diagram is stored once in a +inf-padded (N, K, 2) array.  Row i's own
+    points are certified against all later diagrams in blocks of at most
+    _BLOCK_ENTRIES costs; declined pairs go to ``bottleneck_distance``.
     """
     n = len(rows)
     out = np.zeros((n, n))
     k = max((len(z) for z in rows), default=0)
     if k == 0:
         return out
-    coords = np.full((n, k, 2), np.nan)
+    coords = np.full((n, k, 2), np.inf)
+    pers = np.zeros((n, k))
     for r, z in enumerate(rows):
-        if z.points:
-            coords[r, :len(z)] = z.points
-    pers = np.nan_to_num((coords[:, :, 1] - coords[:, :, 0]) / 2.0)
-    pad = np.isnan(coords)
-    low, high = np.where(pad, -np.inf, coords), np.where(pad, np.inf, coords)
+        a = np.array(z.points, dtype=float).reshape(-1, 2)
+        coords[r, :len(a)] = a
+        pers[r, :len(a)] = (a[:, 1] - a[:, 0]) / 2.0
     step = max(1, _BLOCK_ENTRIES // (k * k))
-    for i in range(n - 1):
+    for i, z in enumerate(rows[:-1]):
         for start in range(i + 1, n, step):
             stop = min(start + step, n)
-            bound, certified = _certify_lower_bound(low[i], pers[i], high[start:stop],
-                                                    pers[start:stop])
+            bound, certified = _certify_lower_bound(coords[i, :len(z)], pers[i, :len(z)],
+                                                    coords[start:stop], pers[start:stop])
             out[i, start:stop] = bound
             for j in start + np.flatnonzero(~certified):
-                out[i, j] = bottleneck_distance(rows[i], rows[j])
+                out[i, j] = bottleneck_distance(z, rows[j])
     return out
 
 

@@ -476,6 +476,14 @@ class TestGen:
         capsys.readouterr()
         assert not out_dir.exists()
 
+    def test_negative_seed_leaves_no_directory(self, tmp_path, capsys):
+        out_dir = tmp_path / "new"
+        code = main(["gen", "--cube", "3", "1", "2", "--seed", "-5", "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: expected non-negative integer\n"
+        assert not out_dir.exists()
+
 
 class TestProfile:
     def test_identity_profile(self, tmp_path, capsys, rng):
@@ -640,6 +648,19 @@ def test_non_finite_metric_exit3(tmp_path, capsys, command):
     assert code == 3
     assert captured.out == ""
     assert "('non_finite', 1, 2)" in captured.err
+
+
+@pytest.mark.parametrize("command", ["profile", "embed"])
+@pytest.mark.parametrize("body", [
+    "a,b\n0," + "1" * 200_000 + "\n1,0\n",
+    "x" * 200_000 + ",b\n0,1\n1,0\n",
+], ids=["overlong_cell", "overlong_label"])
+def test_field_above_csv_limit_exit1(tmp_path, capsys, command, body):
+    (tmp_path / "m.csv").write_text(body)
+    code = run_on_metric(command, tmp_path / "m.csv", tmp_path / "out")
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["profile", "embed"])

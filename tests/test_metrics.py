@@ -474,16 +474,28 @@ def fallbacks(monkeypatch):
     return calls
 
 
+def pair_loop(dgms):
+    """All-pairs matrix of per-pair ``bottleneck_distance`` calls."""
+    out = np.zeros((len(dgms), len(dgms)))
+    for i, j in itertools.combinations(range(len(dgms)), 2):
+        out[i, j] = bottleneck_distance(dgms[i], dgms[j])
+    return out + out.T
+
+
 class TestCertifiedDistanceMatrix:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(integer_diagrams(), min_size=2, max_size=8))
     @example([Diagram(), Diagram()])
     @example([Diagram(), d((0, 2)), d((0, 2), (0, 2)), d((0, 2), (1, 3)), d((1, 3))])
+    # a row smaller than the later rows, and an empty diagram between non-empty ones
+    @example([d((0, 2), (1, 3), (2, 5)), Diagram(), d((1, 3)), d((0, 2), (0, 2))])
     def test_equals_pair_loop_bit_for_bit(self, dgms):
-        expected = np.zeros((len(dgms), len(dgms)))
-        for i, j in itertools.combinations(range(len(dgms)), 2):
-            expected[i, j] = bottleneck_distance(dgms[i], dgms[j])
-        assert distance_matrix(dgms).tobytes() == (expected + expected.T).tobytes()
+        assert distance_matrix(dgms).tobytes() == pair_loop(dgms).tobytes()
+
+    def test_mixed_size_union_equals_pair_loop_bit_for_bit(self):
+        union = embed_coarse_union(dranishnikov_S(4, 2)).diagrams
+        assert len(union) == 40 and max(map(len, union)) == 15
+        assert distance_matrix(union).tobytes() == pair_loop(union).tobytes()
 
     @pytest.mark.parametrize("z,w,value", [
         # Both points of z are nearest to the one point of w.
