@@ -46,7 +46,7 @@ def main() -> None:
     deviation = check_isometry(X, diagrams)
     print(f"\nmax |d_X(i,j) - d_B(f(i), f(j))| = {deviation:.2e}  (isometry)")
 
-    image = distance_matrix(diagrams, "bottleneck")
+    image = distance_matrix(diagrams)
     prof = profile_map(X, image)
     occupied = ~np.isnan(prof.rho1)
     print("\ncoarse profile (lower envelope rho1 / upper envelope rho2):")

@@ -9,7 +9,6 @@ large, 6 verification deviation beyond tolerance.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -240,8 +239,7 @@ def _cmd_profile(args) -> int:
         diagrams = [io.load_diagram(p) for p in args.diagrams]
         if len(diagrams) != source.n_points:
             raise SizeMismatch(f"{len(diagrams)} diagrams for {source.n_points} points")
-        metric = "bottleneck" if args.wasserstein is None else "wasserstein"
-        image = distance_matrix(diagrams, metric, args.wasserstein)
+        image = distance_matrix(diagrams, args.wasserstein)
     else:
         image = io.load_metric(args.image).dist
     prof = profile_map(source, image, args.bins)
@@ -364,7 +362,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (CoarsePDError, ValueError, OSError, csv.Error) as exc:
+    except (CoarsePDError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import InvalidExponent, InvalidPoint
 
@@ -63,9 +62,6 @@ class Diagram:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __iter__(self) -> Iterator[PlanePoint]:
-        return iter(self.points)
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -82,7 +78,11 @@ class Matching:
 
 
 def _check_exponent(p: float) -> float:
-    p = float(p)
+    """p as a float, or InvalidExponent unless it is a number with 1 <= p < inf."""
+    try:
+        p = float(p)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidExponent(f"p must be a number, got {p!r}") from None
     if not 1.0 <= p < math.inf:
         raise InvalidExponent(f"p must be finite and >= 1, got {p}")
     return p

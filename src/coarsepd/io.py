@@ -3,7 +3,9 @@
 Diagram files are JSON objects {"points": [[birth, death], ...]}; point
 order is irrelevant, as a loaded Diagram keeps its points sorted.  Metric
 files are CSV with a first row of labels followed by the distance matrix.
-Floats are written with full round-trip precision.
+Floats are written with full round-trip precision.  A file that json, csv
+or the UTF-8 decoder rejects raises a ValueError that begins with its path,
+as do the format checks here.
 
 load_metric parses the matrix with numpy's C parser (np.loadtxt).  A body
 it rejects, or whose shape does not match the labels, is read again with
@@ -35,6 +37,8 @@ def load_diagram(path) -> Diagram:
             data = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict) or "points" not in data:
         raise ValueError(f"{path}: expected a JSON object with a 'points' key")
     if not isinstance(data["points"], list):
@@ -49,20 +53,23 @@ def save_diagram(diagram: Diagram, path) -> None:
 
 def load_metric(path) -> FiniteMetricSpace:
     """Read a labels+matrix CSV and validate the metric axioms."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        labels = next(filter(None, csv.reader(fh)), None)
-        lines = fh.readlines()
-    matrix = None
-    # A csv field lies within one line, so no line above the limit means no field is.
-    if labels is not None and max(map(len, lines), default=0) <= csv.field_size_limit():
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # as on a body with no rows: take the csv path
-                matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except (ValueError, Warning):
-            pass
-    if matrix is None or matrix.shape != (len(labels),) * 2:
-        labels, matrix = _read_rows(path)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            labels = next(filter(None, csv.reader(fh)), None)
+            lines = fh.readlines()
+        matrix = None
+        # A csv field lies within one line, so no line above the limit means no field is.
+        if labels is not None and max(map(len, lines), default=0) <= csv.field_size_limit():
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # as on a body with no rows: take the csv path
+                    matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            except (ValueError, Warning):
+                pass
+        if matrix is None or matrix.shape != (len(labels),) * 2:
+            labels, matrix = _read_rows(path)
+    except (csv.Error, UnicodeDecodeError) as exc:  # _read_rows's errors name the path
+        raise ValueError(f"{path}: {exc}") from None
     return validate_metric(matrix, [c.strip() for c in labels])
 
 

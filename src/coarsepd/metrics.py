@@ -259,24 +259,21 @@ def _bottleneck_matrix(rows: list[Diagram]) -> np.ndarray:
     return out
 
 
-def distance_matrix(diagrams: Sequence[Diagram], metric: str = "bottleneck",
-                    p: float = 2.0) -> np.ndarray:
+def distance_matrix(diagrams: Sequence[Diagram], p: Optional[float] = None) -> np.ndarray:
     """Symmetric all-pairs matrix of diagram distances, values only.
 
-    Each unordered pair is computed once.  metric is "bottleneck" or
-    "wasserstein" (with exponent p).  Every value equals the per-pair
+    Each unordered pair is computed once: d_B when p is None, else W_p for
+    an exponent ``wasserstein`` accepts.  Every value equals the per-pair
     ``bottleneck_distance`` or ``wasserstein_distance`` bit for bit.
     """
     rows = list(diagrams)
-    if metric == "bottleneck":
+    if p is None:
         out = _bottleneck_matrix(rows)
-    elif metric == "wasserstein":
+    else:
         p = _check_exponent(p)
         out = np.zeros((len(rows), len(rows)))
         for i, j in itertools.combinations(range(len(rows)), 2):
             out[i, j] = wasserstein_distance(rows[i], rows[j], p)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
     return out + out.T
 
 

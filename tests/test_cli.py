@@ -27,6 +27,19 @@ from coarsepd.cli import main
 from conftest import random_connected_metric
 
 
+# Files that json, csv or the UTF-8 decoder rejects, and the message that follows the path.
+UTF8_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+FIELD_LIMIT_ERROR = "field larger than field limit (131072)"
+MALFORMED_FILES = {
+    "truncated_json": ("d.json", '{"points": [[0, 1],',
+                       "Expecting value: line 1 column 20 (char 19)"),
+    "non_utf8_json": ("d.json", b"\xff{}", UTF8_ERROR),
+    "non_utf8_csv": ("m.csv", b"\xffa,b\n0,1\n1,0\n", UTF8_ERROR),
+    "overlong_cell": ("m.csv", "a,b\n0," + "1" * 200_000 + "\n1,0\n", FIELD_LIMIT_ERROR),
+    "overlong_label": ("m.csv", "x" * 200_000 + ",b\n0,1\n1,0\n", FIELD_LIMIT_ERROR),
+}
+
+
 def write_diagram(path, points):
     path.write_text(json.dumps({"points": points}))
 
@@ -98,10 +111,12 @@ class TestRoundTrip:
         ("d.json", "{}", "expected a JSON object with a 'points' key"),
         ("m.csv", "a,b\n", "expected a label row plus matrix rows"),
         ("m.csv", "a,b\n0,1\n1\n", "matrix shape does not match label count"),
+        *(pytest.param(name, body, message, id=key)
+          for key, (name, body, message) in MALFORMED_FILES.items()),
     ])
     def test_malformed_file_names_the_problem(self, tmp_path, name, body, message):
         path = tmp_path / name
-        path.write_text(body)
+        path.write_bytes(body if isinstance(body, bytes) else body.encode())
         load = cpio.load_diagram if name.endswith(".json") else cpio.load_metric
         with pytest.raises(ValueError) as exc:
             load(path)
@@ -547,11 +562,13 @@ class TestProfile:
         X = random_connected_metric(rng, 6)
         cpio.save_metric(X, tmp_path / "src.csv")
         diagrams = embed_finite_metric(X)
-        code = main(["profile", str(tmp_path / "src.csv"), "--diagrams",
-                     *save_diagrams(tmp_path, diagrams), "--wasserstein", "2"])
-        out = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert_envelopes(out, profile_map(X, distance_matrix(diagrams, "wasserstein", 2)))
+        files = save_diagrams(tmp_path, diagrams)
+        for p in (1, 2):
+            code = main(["profile", str(tmp_path / "src.csv"), "--diagrams", *files,
+                         "--wasserstein", str(p)])
+            out = json.loads(capsys.readouterr().out)
+            assert code == 0
+            assert_envelopes(out, profile_map(X, distance_matrix(diagrams, p)))
 
     def test_bins(self, tmp_path, capsys, rng):
         X = random_connected_metric(rng, 7)
@@ -660,7 +677,23 @@ def test_field_above_csv_limit_exit1(tmp_path, capsys, command, body):
     code = run_on_metric(command, tmp_path / "m.csv", tmp_path / "out")
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.err == f"error: {tmp_path / 'm.csv'}: {FIELD_LIMIT_ERROR}\n"
+
+
+@pytest.mark.parametrize("name,body,message", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+def test_malformed_second_file_is_named(tmp_path, capsys, name, body, message):
+    bad = tmp_path / f"bad_{name}"
+    bad.write_bytes(body if isinstance(body, bytes) else body.encode())
+    if name.endswith(".json"):
+        write_diagram(tmp_path / "ok.json", [[0, 1]])
+        argv = ["dist", str(tmp_path / "ok.json"), str(bad)]
+    else:
+        write_metric(tmp_path / "ok.csv", ["a", "b"], [[0, 1], [1, 0]])
+        argv = ["profile", str(tmp_path / "ok.csv"), str(bad)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {bad}: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["profile", "embed"])

@@ -129,6 +129,16 @@ class TestWasserstein:
             with pytest.raises(InvalidExponent):
                 solver(z, w, math.inf)
 
+    @pytest.mark.parametrize("p", [10 ** 400, "x", None], ids=["int_1e400", "string", "none"])
+    def test_exponent_that_is_not_a_number(self, p):
+        z, w = d((0, 4), (1, 3)), d((3, 6))
+        for solver in (wasserstein, wasserstein_bruteforce, wasserstein_distance):
+            with pytest.raises(InvalidExponent, match="p must be a number"):
+                solver(z, w, p)
+        if p is not None:  # None is d_B in distance_matrix
+            with pytest.raises(InvalidExponent, match="p must be a number"):
+                distance_matrix([z, w], p)
+
 
 class TestBottleneck1pt:
     def test_delta_route(self):
@@ -373,9 +383,10 @@ class TestValueOnly:
 
     def test_distance_matrix_equals_pair_loop(self, rng):
         dgms = [random_diagram(rng, max_size=7) for _ in range(7)]
-        for metric, solve in (("bottleneck", lambda z, w: bottleneck(z, w)[0]),
-                              ("wasserstein", lambda z, w: wasserstein(z, w, 2.5)[0])):
-            full = distance_matrix(dgms, metric, 2.5)
+        for p, solve in ((None, lambda z, w: bottleneck(z, w)[0]),
+                         (1.0, lambda z, w: wasserstein(z, w, 1.0)[0]),
+                         (2.5, lambda z, w: wasserstein(z, w, 2.5)[0])):
+            full = distance_matrix(dgms, p)
             assert full.shape == (7, 7)
             for i, z in enumerate(dgms):
                 for j, w in enumerate(dgms):
@@ -384,10 +395,16 @@ class TestValueOnly:
 
     def test_distance_matrix_edge_cases(self):
         assert distance_matrix([]).shape == (0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidExponent):
             distance_matrix([d((0, 2))], "sliced")
         with pytest.raises(InvalidExponent):
-            distance_matrix([d((0, 2)), d((1, 3))], "wasserstein", math.inf)
+            distance_matrix([d((0, 2)), d((1, 3))], math.inf)
+
+    def test_distance_matrix_exponent_is_not_ignored(self):
+        # d_B is 2 (both points to the diagonal); W_1 is 3 (one point moved by 3)
+        dgms = [d((0, 4)), d((3, 6))]
+        assert distance_matrix(dgms)[0, 1] == 2.0
+        assert distance_matrix(dgms, p=1)[0, 1] == 3.0
 
 
 @pytest.fixture

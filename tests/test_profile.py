@@ -51,7 +51,7 @@ class TestProfileMap:
     def test_embedding_profile_is_identity(self, rng):
         X = random_connected_metric(rng, 8)
         diagrams = embed_finite_metric(X)
-        image = distance_matrix(diagrams, "bottleneck")
+        image = distance_matrix(diagrams)
         prof = profile_map(X, image)
         mask = ~np.isnan(prof.rho1)
         assert np.all(prof.rho2[mask] - prof.rho1[mask] <= prof.bin_width + 1e-9)
