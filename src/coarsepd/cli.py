@@ -60,8 +60,7 @@ def _sig12(value: float) -> str:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")  # json.dump writes token by token
 
 
 def _save_diagrams(diagrams, out_dir: Path, stem: str) -> list[str]:

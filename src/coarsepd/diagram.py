@@ -18,6 +18,8 @@ PlanePoint = tuple[float, float]
 
 def _coordinate(value) -> float:
     """A real number as a float; bools, strings and other types are refused."""
+    if type(value) is float:  # the common case, ahead of the slow ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"not a real number: {value!r}")
     return float(value)
@@ -78,8 +80,10 @@ class Matching:
 
 
 def _check_exponent(p: float) -> float:
-    """p as a float, or InvalidExponent unless it is a number with 1 <= p < inf."""
+    """p as a float, or InvalidExponent unless it is a number, not a bool, with 1 <= p < inf."""
     try:
+        if isinstance(p, bool):  # as for coordinates: True is not the number 1
+            raise TypeError
         p = float(p)
     except (TypeError, ValueError, OverflowError):
         raise InvalidExponent(f"p must be a number, got {p!r}") from None

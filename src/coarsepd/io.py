@@ -5,7 +5,7 @@ order is irrelevant, as a loaded Diagram keeps its points sorted.  Metric
 files are CSV with a first row of labels followed by the distance matrix.
 Floats are written with full round-trip precision.  A file that json, csv
 or the UTF-8 decoder rejects raises a ValueError that begins with its path,
-as do the format checks here.
+as do the format checks here; a diagram's InvalidPoint names it too.
 
 load_metric parses the matrix with numpy's C parser (np.loadtxt).  A body
 it rejects, or whose shape does not match the labels, is read again with
@@ -29,6 +29,7 @@ import numpy as np
 
 from .diagram import Diagram
 from .embeddings import FiniteMetricSpace, _rows_per_block, validate_metric
+from .errors import InvalidPoint
 
 
 def load_diagram(path) -> Diagram:
@@ -43,7 +44,10 @@ def load_diagram(path) -> Diagram:
         raise ValueError(f"{path}: expected a JSON object with a 'points' key")
     if not isinstance(data["points"], list):
         raise ValueError(f"{path}: 'points' must be a list of [birth, death] pairs")
-    return Diagram([tuple(p) if isinstance(p, list) else p for p in data["points"]])
+    try:
+        return Diagram([tuple(p) if isinstance(p, list) else p for p in data["points"]])
+    except InvalidPoint as exc:
+        raise InvalidPoint(f"{path}: {exc}") from None
 
 
 def save_diagram(diagram: Diagram, path) -> None:

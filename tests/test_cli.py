@@ -13,6 +13,7 @@ import pytest
 
 from coarsepd import (
     Diagram,
+    InvalidPoint,
     bottleneck,
     distance_matrix,
     embed_finite_metric,
@@ -678,6 +679,39 @@ def test_field_above_csv_limit_exit1(tmp_path, capsys, command, body):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {tmp_path / 'm.csv'}: {FIELD_LIMIT_ERROR}\n"
+
+
+@pytest.mark.parametrize("points, message", [
+    ([[3, 1]], "requires death > birth >= 0, got (3, 1)"),
+    ([[0, 1], [2, None]], "not a birth-death pair: (2, None)"),
+    ([[1e308, 1e309]], "non-finite coordinates: (1e+308, inf)"),
+])
+def test_invalid_point_names_its_file(tmp_path, capsys, points, message):
+    bad = tmp_path / "bad.json"
+    write_diagram(bad, points)
+    with pytest.raises(InvalidPoint) as exc:
+        cpio.load_diagram(bad)
+    assert str(exc.value) == f"{bad}: {message}"
+    write_diagram(tmp_path / "ok.json", [[0, 1]])
+    code = main(["dist", str(tmp_path / "ok.json"), str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {bad}: {message}\n"
+
+
+def test_reply_is_one_write(tmp_path, monkeypatch):
+    writes = []
+
+    class Stdout:
+        def write(self, text):
+            writes.append(text)
+
+    write_diagram(tmp_path / "a.json", [[0, 4], [1, 3]])
+    write_diagram(tmp_path / "b.json", [[3, 6]])
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["dist", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
+    assert len(writes) == 1 and writes[0].endswith("}\n")
+    assert json.loads(writes[0])["distance_value"] == 2.0
 
 
 @pytest.mark.parametrize("name,body,message", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coarsepd import DELTA, Diagram, InvalidPoint
+from coarsepd.diagram import _coordinate
 from coarsepd.oracle import cost_matrix, delta, persistence
 
 
@@ -101,6 +102,33 @@ class TestCanonicalize:
             Diagram([(True, 5)])
         dgm = Diagram([(np.float64(3.0), np.float64(4.5))])
         assert dgm.points == ((3.0, 4.5),) and type(dgm.points[0][0]) is float
+
+    @pytest.mark.parametrize("raw, message", [
+        ((math.nan, 1.0), "non-finite coordinates: (nan, 1.0)"),
+        ((0.0, math.inf), "non-finite coordinates: (0.0, inf)"),
+        ((-math.inf, 1.0), "non-finite coordinates: (-inf, 1.0)"),
+        ((3.0, 1.0), "requires death > birth >= 0, got (3.0, 1.0)"),
+        ((2.5, 2.5), "requires death > birth >= 0, got (2.5, 2.5)"),
+        ((-1.0, 2.0), "requires death > birth >= 0, got (-1.0, 2.0)"),
+        ((0.0, 5e-324), "persistence rounds to zero: (0.0, 5e-324)"),
+    ])
+    def test_float_point_rejections_are_worded(self, raw, message):
+        # Exact floats skip the real-number check, but not the point checks.
+        with pytest.raises(InvalidPoint) as exc:
+            Diagram([raw])
+        assert type(exc.value) is InvalidPoint and str(exc.value) == message
+
+    def test_only_exact_floats_skip_the_real_number_check(self):
+        x = 2.5
+        assert _coordinate(x) is x
+        # float subclasses and ints come back as plain floats
+        for value in (np.float64(2.5), 2):
+            assert type(_coordinate(value)) is float and _coordinate(value) == value
+        for value in (True, False, "2.5", None, 2 + 0j):
+            with pytest.raises(TypeError, match="not a real number"):
+                _coordinate(value)
+        with pytest.raises(InvalidPoint, match="not a birth-death pair"):
+            Diagram([(0.0, True)])
 
     @given(st.lists(plane_points(), max_size=6), st.randoms())
     def test_permutation_invariant_and_idempotent(self, pts, pyrandom):

@@ -129,7 +129,8 @@ class TestWasserstein:
             with pytest.raises(InvalidExponent):
                 solver(z, w, math.inf)
 
-    @pytest.mark.parametrize("p", [10 ** 400, "x", None], ids=["int_1e400", "string", "none"])
+    @pytest.mark.parametrize("p", [10 ** 400, "x", None, True, False],
+                             ids=["int_1e400", "string", "none", "true", "false"])
     def test_exponent_that_is_not_a_number(self, p):
         z, w = d((0, 4), (1, 3)), d((3, 6))
         for solver in (wasserstein, wasserstein_bruteforce, wasserstein_distance):
@@ -554,6 +555,53 @@ def n_plus_m_bottleneck(z, w):
 
     candidates = np.unique(np.concatenate([sup.ravel(), pers_z, pers_w]))
     return float(candidates[bisect.bisect_left(candidates, True, key=feasible)])
+
+
+def wide_bottleneck(z, w):
+    """d_B and its lex-min matching at width 2 * max(n, m), from ``oracle.cost_matrix``.
+
+    The first bound, then a bisection over the larger costs with scipy's
+    maximum_bipartite_matching, then the lex-min pass from that matching.
+    """
+    cost = cost_matrix(z, w)
+    if cost.size == 0:
+        return 0.0, Matching(())
+    bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+    candidates = np.unique(cost[cost >= bound])
+
+    def matched(t):
+        return maximum_bipartite_matching(csr_matrix(cost <= t), perm_type="column")
+
+    value = candidates[bisect.bisect_left(candidates, True, key=lambda t: (matched(t) >= 0).all())]
+    return float(value), Matching(lex_min_perfect_matching(cost <= value, matched(value)))
+
+
+class TestNarrowBottleneck:
+    """d_B is solved at width n + m and its matching lifted to 2 * max(n, m)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(integer_diagrams(6), diagrams(6)), st.one_of(integer_diagrams(6), diagrams(6)))
+    @example(Diagram(), Diagram())
+    @example(Diagram(), d((0, 2), (1, 4), (1, 4)))
+    @example(d((0, 2), (0, 2), (1, 4)), Diagram())
+    @example(d((0, 2), (0, 2)), d((0, 2)))
+    @example(d((0, 3), (1, 3), (2, 4)), d((1, 3), (1, 3), (0, 2), (2, 4), (2, 5)))
+    # the search's matching puts the point rows on columns (3, 2), the lex-min one on (1, 3)
+    @example(d((2, 5), (3, 6)), d((2, 3), (3, 4), (3, 5), (3, 6)))
+    @example(*BOUND_BELOW_OPTIMUM)
+    @example(*AT_LARGEST_COST)
+    @example(*WIDE)
+    def test_equals_wide_reference_bit_for_bit(self, z, w):
+        value, matching = wide_bottleneck(z, w)
+        assert bottleneck(z, w) == (value, matching)
+        assert bottleneck_distance(z, w) == value
+
+    @pytest.mark.parametrize("z,w", [(d((0, 2)), d((1, 3), (2, 6), (4, 5))),
+                                     (Diagram(), d((1, 3), (2, 6))), AT_LARGEST_COST])
+    def test_solves_at_width_n_plus_m(self, solves, z, w):
+        bottleneck(z, w)
+        bottleneck_distance(w, z)
+        assert solves and set(solves) == {(len(z) + len(w),) * 2}
 
 
 def test_512_point_pair():
