@@ -40,7 +40,7 @@ def main() -> None:
         print(f"  d_W,{p:<2}(z, w) = {vw:.6f}")
     print(f"  d_B    (z, w) = {value:.6f}")
 
-    print("\nsandwich bound d_B <= d_W,p <= (2 max(n,m))^(1/p) d_B on random pairs:")
+    print("\nsandwich bound d_B <= d_W,p <= (n + m)^(1/p) d_B on random pairs:")
     rng = np.random.default_rng(7)
     ok = True
     for _ in range(200):
@@ -50,7 +50,7 @@ def main() -> None:
         b_ = Diagram([(b, b + q) for b, q in zip(
             rng.uniform(0, 10, size_b), rng.uniform(0.01, 10, size_b))])
         d_b, d_w = bottleneck_distance(a, b_), wasserstein_distance(a, b_, 2)
-        factor = (2 * max(size_a, size_b)) ** (1.0 / 2)
+        factor = (size_a + size_b) ** (1.0 / 2)
         slack = rounding_slack(max(d_w, factor * d_b))  # float rounding at this scale
         ok &= d_b <= d_w + slack and d_w <= factor * d_b + slack
     print(f"  holds on 200 pairs: {ok}")

@@ -1,8 +1,8 @@
 """Persistence diagrams, matchings between them and the exponent of W_p.
 
 A diagram is a finite multiset of birth-death pairs ``(b, d)`` with
-``d > b >= 0``; the diagonal is never stored.  A matching pairs the
-indices of two diagrams padded with the diagonal to a common width.
+``d > b >= 0``; the diagonal is never stored.  A matching of an n-point
+and an m-point diagram is a permutation of n + m slots.
 """
 
 from __future__ import annotations
@@ -67,9 +67,11 @@ class Diagram:
 
 @dataclass(frozen=True)
 class Matching:
-    """A permutation of augmented indices.
+    """A permutation of the n + m slots of an n-point and an m-point diagram.
 
-    ``pairing[i] = j`` matches left index i to right index j.
+    ``pairing[i] = j`` matches left slot i to right slot j.  Left slots
+    below n are the left diagram's points and the rest DELTA; right slots
+    below m are the right diagram's points and the rest DELTA.
     """
 
     pairing: tuple[int, ...]

@@ -1,21 +1,19 @@
 """Bottleneck and p-Wasserstein distances between persistence diagrams.
 
-Both distances are minima over matchings of the two diagrams padded with
-the diagonal point to width 2 * max(n, m): the bottleneck aggregates
-per-pair costs with max, the p-Wasserstein with an l_p sum.  The
-bottleneck value comes from a threshold search over the pairwise costs
-with a perfect-matching test, run on n + m slots (same value and lex-min
-point rows); the p-Wasserstein value is an optimal assignment on the
-cost-power matrix.  Both run on scipy's ``linear_sum_assignment``, the
-package's one matching solver.  ``bottleneck`` and ``wasserstein`` also
-return the lex-min optimal matching of width 2 * max(n, m);
-``bottleneck_distance``, ``wasserstein_distance`` and ``distance_matrix``
-return the same values without one.  ``distance_matrix`` decides most
-bottleneck pairs without a solver call: it puts every diagram into one
-coordinate array padded with +inf and, row by row, certifies the lower
-bound of the threshold search between the row's own points and every
-later diagram with a greedy nearest-point matching; only the pairs the
-certificate declines go to ``bottleneck_distance``.
+Both distances are minima over matchings on n + m slots, in which each
+point goes to a point of the other diagram or to the diagonal: rows below
+n are z's points and columns from m on are DELTA.  The bottleneck value is
+a threshold search over the pairwise costs with a perfect-matching test;
+the p-Wasserstein value is an optimal assignment on the cost-power matrix.
+Both run on scipy's ``linear_sum_assignment``, the package's one matching
+solver.  ``bottleneck`` and ``wasserstein`` also return the lex-min optimal
+matching; ``bottleneck_distance``, ``wasserstein_distance`` and
+``distance_matrix`` return the same values without one.
+``distance_matrix`` decides most bottleneck pairs without a solver call: it
+puts every diagram into one coordinate array padded with +inf and, row by
+row, certifies the lower bound of the threshold search between the row's
+own points and every later diagram with a greedy nearest-point matching;
+only the pairs the certificate declines go to ``bottleneck_distance``.
 """
 
 from __future__ import annotations
@@ -31,17 +29,16 @@ from .diagram import Diagram, Matching, _check_exponent
 _BLOCK_ENTRIES = 2 ** 22  # largest (pairs, K, K) cost block of distance_matrix
 
 
-def _cost(z: Diagram, w: Diagram, width: Optional[int] = None) -> np.ndarray:
-    """Square cost matrix of z and w padded with DELTA to width (>= n + m).
+def _cost(z: Diagram, w: Diagram) -> np.ndarray:
+    """Square cost matrix of z and w on n + m slots; equals ``oracle.cost_matrix``.
 
     Built in blocks: the sup metric between points, each point's
     persistence against every DELTA slot, and zero between DELTA slots.
-    At the default width 2 * max(n, m) it equals ``oracle.cost_matrix``.
     """
     n, m = len(z), len(w)
     a = np.array(z.points, dtype=float).reshape(-1, 2)
     b = np.array(w.points, dtype=float).reshape(-1, 2)
-    out = np.zeros((2 * max(n, m) if width is None else width,) * 2)
+    out = np.zeros((n + m, n + m))
     out[:n, :m] = np.maximum(np.abs(a[:, None, 0] - b[:, 0]), np.abs(a[:, None, 1] - b[:, 1]))
     out[:n, m:] = ((a[:, 1] - a[:, 0]) / 2.0)[:, None]
     out[n:, :m] = (b[:, 1] - b[:, 0]) / 2.0
@@ -80,22 +77,17 @@ def bottleneck(z: Diagram, w: Diagram) -> tuple[float, Matching]:
     """Exact bottleneck distance and an optimal matching.
 
     The optimum is one of the pairwise costs, so the search is over that
-    discrete set, at width n + m: the same first bound, costs above it and
-    feasible thresholds as at 2 * max(n, m).  The lex-min optimal
-    permutation of width 2 * max(n, m) is returned: DELTA columns are alike
-    and numbered from m at both widths, so the n point rows take the same
-    columns, and the alike DELTA rows take the rest in increasing order.
+    discrete set.  The matching is the lex-min optimal permutation of the
+    n + m slots.
     """
-    n, m = len(z), len(w)
-    cost = _cost(z, w, n + m)
+    cost = _cost(z, w)
     value, col = _bottleneck_value(cost)
-    head = lex_min_perfect_matching(cost <= value, col)[:n]
-    return value, Matching(head + tuple(sorted(set(range(2 * max(n, m))) - set(head))))
+    return value, Matching(lex_min_perfect_matching(cost <= value, col))
 
 
 def bottleneck_distance(z: Diagram, w: Diagram) -> float:
     """Exact bottleneck distance without a matching; equals ``bottleneck(z, w)[0]``."""
-    return _bottleneck_value(_cost(z, w, len(z) + len(w)))[0]
+    return _bottleneck_value(_cost(z, w))[0]
 
 
 def _tight_edges(cost: np.ndarray, sigma: np.ndarray, optimum: float) -> np.ndarray:

@@ -4,9 +4,10 @@ A point of the reference world is either the distinguished diagonal point
 ``DELTA`` or a birth-death pair.  The extended metric ``delta`` restricts
 to the sup metric on the open half-plane and measures the distance to the
 diagonal as half the persistence.  d_B and W_p are minima over all
-matchings of the two diagrams padded with DELTA to width 2 * max(n, m):
-``cost_matrix`` builds that padded matrix one ``delta`` call per entry, and
-a subset dynamic program takes the exact minimum over every permutation.
+matchings on n + m slots, z's points followed by m DELTAs against w's
+points followed by n DELTAs: ``cost_matrix`` builds that matrix one
+``delta`` call per entry, and a subset dynamic program takes the exact
+minimum over every permutation.
 This module shares no code with the solvers of ``metrics`` and
 ``assignment``, which it checks.
 """
@@ -63,11 +64,10 @@ def delta(a: Point, b: Point) -> float:
 
 
 def cost_matrix(z: Diagram, w: Diagram) -> np.ndarray:
-    """Costs ``delta(a, b)`` of z and w, each padded with DELTA to width 2 * max(n, m)."""
-    width = 2 * max(len(z), len(w))
-    left = z.points + (DELTA,) * (width - len(z))
-    right = w.points + (DELTA,) * (width - len(w))
-    return np.array([[delta(a, b) for b in right] for a in left]).reshape(width, width)
+    """Costs ``delta(a, b)`` on n + m slots: z's points then m DELTAs, against w's then n."""
+    left = z.points + (DELTA,) * len(w)
+    right = w.points + (DELTA,) * len(z)
+    return np.array([[delta(a, b) for b in right] for a in left]).reshape(len(left), len(left))
 
 
 def _min_assignment(cost: np.ndarray, combine) -> list[float]:
@@ -139,7 +139,7 @@ def min_assignment_sum(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
 
 
 def _check_width(z: Diagram, w: Diagram) -> None:
-    width = 2 * max(len(z), len(w))
+    width = len(z) + len(w)
     if width > ORACLE_MAX_WIDTH:
         raise OversizeForOracle(f"augmented width {width} > {ORACLE_MAX_WIDTH}")
 

@@ -1,5 +1,7 @@
 """Shared generators for randomized tests."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
@@ -28,13 +30,15 @@ def random_diagram(rng, max_size=5, scale=10.0, size=None):
 
 
 def sandwich_holds(z, w, p):
-    """d_B <= d_W,p <= (2 max(n, m))^(1/p) d_B, both sides within rounding_slack.
+    """d_B <= d_W,p <= (n + m)^(1/p) d_B, both sides within rounding_slack.
 
-    The slack is taken at the larger side, max(d_W, factor * d_B).
+    A matching has at most n + m pairs off the diagonal, each costing at
+    most d_B in an optimal bottleneck matching.  The slack is taken at the
+    larger side, max(d_W, factor * d_B).
     """
     d_b = bottleneck_distance(z, w)
     d_w = wasserstein_distance(z, w, p)
-    factor = (2 * max(len(z), len(w))) ** (1.0 / p)
+    factor = (len(z) + len(w)) ** (1.0 / p)
     slack = rounding_slack(max(d_w, factor * d_b))
     return d_b <= d_w + slack and d_w <= factor * d_b + slack
 
@@ -44,6 +48,44 @@ def padded_cost(z, w, width):
     left = z.points + (DELTA,) * (width - len(z))
     right = w.points + (DELTA,) * (width - len(w))
     return np.array([[delta(a, b) for b in right] for a in left]).reshape(width, width)
+
+
+def exact_wasserstein_power(z, w, p):
+    """Exact minimum of the sum of cost ** p over the permutations of n + m slots.
+
+    For an integer p and n + m <= 10.  Costs are built in Fractions from the
+    exact coordinates, so neither their float rounding nor any rescaling
+    enters; a subset dynamic program over the columns takes the minimum.
+    """
+    assert len(z) + len(w) <= 10 and p == int(p)
+    left = [tuple(map(Fraction, q)) for q in z.points] + [None] * len(w)
+    right = [tuple(map(Fraction, q)) for q in w.points] + [None] * len(z)
+
+    def cost(a, b):
+        if a is None and b is None:
+            return Fraction(0)
+        if a is None or b is None:
+            birth, death = a or b
+            return (death - birth) / 2
+        return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+
+    rows = [[cost(a, b) ** p for b in right] for a in left]
+    k = len(rows)
+    h = [Fraction(0)] * (1 << k)  # h[S]: first |S| rows on the columns in S
+    for S in range(1, 1 << k):
+        row = rows[S.bit_count() - 1]
+        h[S] = min(h[S & ~(1 << j)] + row[j] for j in range(k) if S >> j & 1)
+    return h[-1]
+
+
+def within_ulps_of_root(value, power_sum, p, ulps=4):
+    """(value - ulps ulp)^p <= power_sum <= (value + ulps ulp)^p, exactly in Fractions.
+
+    The lower end is clipped at zero.
+    """
+    step = ulps * Fraction(float(np.spacing(value)))
+    low = max(Fraction(value) - step, Fraction(0))
+    return low ** p <= power_sum <= (Fraction(value) + step) ** p
 
 
 def random_connected_metric(rng, n):

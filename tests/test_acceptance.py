@@ -195,8 +195,9 @@ def test_criterion_8_padding_and_permutation_invariance():
         shuffled = list(z.points)
         rng.shuffle(shuffled)
         assert Diagram(shuffled) == z
-        # extra DELTA slots beyond the width 2 max(n, m) leave the optimum unchanged
-        extra = int(rng.integers(1, 4))
+        # DELTA slots beyond n + m, up to the width 2 max(n, m) and past it, leave the
+        # optimum unchanged
+        extra = int(rng.integers(0, 4))
         cost = padded_cost(z, w, 2 * max(len(z), len(w)) + extra)
         assert min_assignment_max(cost)[0] == bottleneck(z, w)[0]
     print("\nACCEPTANCE 8: PASS - point shuffling leaves the diagram, and extra "

@@ -228,12 +228,26 @@ class TestDist:
         assert captured.err.startswith("error:")
 
     def test_oracle_oversize_exit2(self, tmp_path, capsys):
+        # 6 + 5 = 11 slots, one past the oracle's limit
         write_diagram(tmp_path / "a.json", [[i, i + 1] for i in range(6)])
-        write_diagram(tmp_path / "b.json", [[0, 1]])
+        write_diagram(tmp_path / "b.json", [[i, i + 2] for i in range(5)])
         code = main(["dist", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
                      "--bottleneck", "--oracle"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("metric", [["--bottleneck"], ["--wasserstein", "2"]])
+    def test_oracle_on_8_against_2_points(self, tmp_path, capsys, metric):
+        # 8 + 2 = 10 slots, at the oracle's limit
+        write_diagram(tmp_path / "a.json", [[i, i + 1 + i % 3] for i in range(8)])
+        write_diagram(tmp_path / "b.json", [[0.5, 2], [3, 7]])
+        args = ["dist", str(tmp_path / "a.json"), str(tmp_path / "b.json"), *metric]
+        assert main(args + ["--oracle"]) == 0
+        oracle = json.loads(capsys.readouterr().out)
+        assert main(args) == 0
+        solver = json.loads(capsys.readouterr().out)
+        assert oracle.pop("oracle") is True and solver.pop("oracle") is False
+        assert oracle == solver
 
 
 class TestEmbed:

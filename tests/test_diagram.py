@@ -155,8 +155,8 @@ class TestAugment:
         z = Diagram([(0.0, 1.0), (0.0, 2.0)])
         w = Diagram([(0.0, 3.0)])
         cost = cost_matrix(z, w)
-        assert cost.shape == (4, 4)
-        assert delta_slots(cost) == (2, 3)
+        assert cost.shape == (3, 3)
+        assert delta_slots(cost) == (1, 2)
 
     def test_empty(self):
         assert cost_matrix(Diagram(), Diagram()).shape == (0, 0)

@@ -37,7 +37,13 @@ from coarsepd import metrics
 from coarsepd.assignment import lex_min_perfect_matching
 from coarsepd.metrics import _cost, _tight_edges, rounding_slack
 from coarsepd.oracle import cost_matrix, min_assignment_max, min_assignment_sum
-from conftest import padded_cost, random_diagram, sandwich_holds
+from conftest import (
+    exact_wasserstein_power,
+    padded_cost,
+    random_diagram,
+    sandwich_holds,
+    within_ulps_of_root,
+)
 from cover_reference import as_columns
 
 
@@ -188,12 +194,13 @@ class TestOracleEquivalence:
             births, lengths = rng.integers(0, 12, size), rng.integers(1, 8, size)
             return Diagram(list(zip((births / 2).tolist(), ((births + lengths) / 2).tolist())))
 
+        # the reference is the lex-min optimum at width 2 * max(n, m) = 14
         for _ in range(4):
             z, w = half_grid(7), half_grid(int(rng.integers(0, 8)))
-            cost = cost_matrix(z, w)
-            assert cost.shape == (14, 14)
+            reference, phi = min_assignment_max(padded_cost(z, w, 14))
             value, m = bottleneck(z, w)
-            assert (value, m.pairing) == min_assignment_max(cost)
+            assert value == reference
+            assert describe_matching(z, w, m) == describe_matching(z, w, Matching(phi))
 
     def test_tight_edge_pairing_above_width_12(self, rng):
         # small integers keep every sum exact, so optimal means exactly optimal
@@ -227,11 +234,11 @@ class TestMetricAxioms:
 
 class TestInvariances:
     def test_padding_invariance(self, rng):
-        # two more DELTA slots a side than the width 2 max(n, m) change no optimum
+        # DELTA slots beyond n + m, up to the width 2 max(n, m) and past it, change no optimum
         for _ in range(25):
             z = random_diagram(rng, max_size=3)
             w = random_diagram(rng, max_size=3)
-            cost = padded_cost(z, w, 2 * max(len(z), len(w)) + 2)
+            cost = padded_cost(z, w, 2 * max(len(z), len(w)) + int(rng.integers(0, 3)))
             assert min_assignment_max(cost)[0] == bottleneck(z, w)[0]
             assert min_assignment_sum(cost ** 2)[0] ** 0.5 == pytest.approx(
                 wasserstein(z, w, 2)[0], abs=1e-9)
@@ -454,7 +461,7 @@ class TestOneSolvePerMatchedDistance:
         z, w = AT_LARGEST_COST
         cost = _cost(z, w)
         value, col = metrics._bottleneck_value(cost)
-        assert (value, col.tolist(), len(solves)) == (1.5, [0, 1, 2, 3], 1)
+        assert (value, col.tolist(), len(solves)) == (1.5, [0, 1, 2], 1)
         assert value == cost.max()
         assert bottleneck(z, w) == bottleneck_bruteforce(z, w)
 
@@ -476,6 +483,34 @@ def integer_diagrams(max_size=5):
     """Diagrams on a small integer grid: many cost ties and duplicate points."""
     point = st.tuples(st.integers(0, 4), st.integers(1, 4)).map(lambda t: (t[0], t[0] + t[1]))
     return st.lists(point, max_size=max_size).map(Diagram)
+
+
+def grid_diagrams(denominator, max_size=5):
+    """Diagrams with coordinates k / denominator; tenths round in binary, and so do their costs."""
+    point = st.tuples(st.integers(0, 100), st.integers(1, 100)).map(
+        lambda t: (t[0] / denominator, (t[0] + t[1]) / denominator))
+    return st.lists(point, max_size=max_size).map(Diagram)
+
+
+class TestExactWasserstein:
+    """W_p within 4 ulps of the exact p-th root of ``conftest.exact_wasserstein_power``.
+
+    Grid coordinates bound the ratio of the largest cost to the smallest
+    nonzero one, so the rescaling by the largest cost cannot underflow.
+    """
+
+    sides = st.one_of(integer_diagrams(), grid_diagrams(4), grid_diagrams(10))
+
+    @settings(max_examples=150, deadline=None)
+    @given(sides, sides, st.sampled_from([1, 2, 3]))
+    @example(*BOUND_BELOW_OPTIMUM, 3)
+    @example(*AT_LARGEST_COST, 2)
+    @example(Diagram(), Diagram(), 1)
+    @example(Diagram(), d((0.1, 0.3), (0.2, 0.7)), 3)
+    def test_within_4_ulps_of_exact_root(self, z, w, p):
+        exact = exact_wasserstein_power(z, w, p)
+        assert within_ulps_of_root(wasserstein(z, w, p)[0], exact, p)
+        assert within_ulps_of_root(wasserstein_distance(z, w, p), exact, p)
 
 
 @pytest.fixture
@@ -558,12 +593,12 @@ def n_plus_m_bottleneck(z, w):
 
 
 def wide_bottleneck(z, w):
-    """d_B and its lex-min matching at width 2 * max(n, m), from ``oracle.cost_matrix``.
+    """d_B and its lex-min matching at width 2 * max(n, m), from ``conftest.padded_cost``.
 
     The first bound, then a bisection over the larger costs with scipy's
     maximum_bipartite_matching, then the lex-min pass from that matching.
     """
-    cost = cost_matrix(z, w)
+    cost = padded_cost(z, w, 2 * max(len(z), len(w)))
     if cost.size == 0:
         return 0.0, Matching(())
     bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
@@ -577,7 +612,7 @@ def wide_bottleneck(z, w):
 
 
 class TestNarrowBottleneck:
-    """d_B is solved at width n + m and its matching lifted to 2 * max(n, m)."""
+    """d_B at width n + m gives the value and the matching pairs of width 2 * max(n, m)."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(integer_diagrams(6), diagrams(6)), st.one_of(integer_diagrams(6), diagrams(6)))
@@ -593,20 +628,23 @@ class TestNarrowBottleneck:
     @example(*WIDE)
     def test_equals_wide_reference_bit_for_bit(self, z, w):
         value, matching = wide_bottleneck(z, w)
-        assert bottleneck(z, w) == (value, matching)
-        assert bottleneck_distance(z, w) == value
+        solved, narrow = bottleneck(z, w)
+        assert solved == value and bottleneck_distance(z, w) == value
+        assert describe_matching(z, w, narrow) == describe_matching(z, w, matching)
 
     @pytest.mark.parametrize("z,w", [(d((0, 2)), d((1, 3), (2, 6), (4, 5))),
                                      (Diagram(), d((1, 3), (2, 6))), AT_LARGEST_COST])
     def test_solves_at_width_n_plus_m(self, solves, z, w):
         bottleneck(z, w)
         bottleneck_distance(w, z)
+        wasserstein(z, w, 2)
+        wasserstein_distance(w, z, 1)
         assert solves and set(solves) == {(len(z) + len(w),) * 2}
 
 
 def test_512_point_pair():
-    # Width 1024, on a pair for which Hopcroft-Karp on the 2 * max(n, m)
-    # threshold graph took about 100 s (2-vCPU VM).
+    # Width 1024, on a pair for which Hopcroft-Karp on the threshold graph
+    # took about 100 s (2-vCPU VM).
     rng = np.random.default_rng(2)
     z, w = random_diagram(rng, size=512), random_diagram(rng, size=512)
     value, matching = bottleneck(z, w)
