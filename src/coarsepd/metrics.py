@@ -10,10 +10,10 @@ solver.  ``bottleneck`` and ``wasserstein`` also return the lex-min optimal
 matching; ``bottleneck_distance``, ``wasserstein_distance`` and
 ``distance_matrix`` return the same values without one.
 ``distance_matrix`` decides most bottleneck pairs without a solver call: it
-puts every diagram into one coordinate array padded with +inf and, row by
-row, certifies the lower bound of the threshold search between the row's
-own points and every later diagram with a greedy nearest-point matching;
-only the pairs the certificate declines go to ``bottleneck_distance``.
+puts every diagram into one array padded with +inf and, row by row,
+certifies the threshold search's lower bound against every later diagram
+by giving each point too persistent for the diagonal its nearest point;
+only the pairs it declines go to ``bottleneck_distance``.
 """
 
 from __future__ import annotations
@@ -201,11 +201,11 @@ def _certify_lower_bound(a: np.ndarray, pa: np.ndarray, b: np.ndarray,
     +inf; ``pa`` (n,) and ``pb`` (B, K) are their persistences, zero-padded.
     L is the bound ``_bottleneck_value`` tests first, built from the same
     float expressions as ``_cost``: the largest row or column minimum of the
-    width-(n + m) matrix (an empty z gives L = max pb).  Each point of z goes
-    to its nearest point of w_r when that costs <= L, and to DELTA otherwise.
-    If those choices are injective and every unchosen point of w_r has
-    persistence <= L, the n DELTA columns and m DELTA rows complete them to a
-    perfect matching within L, so d_B = L exactly.
+    width-(n + m) matrix (an empty z gives L = max pb).  A heavy point, whose
+    persistence exceeds L, cannot take DELTA, but its row minimum is <= L, so
+    its nearest point of w_r is within L.  Heavy points of z take those, light
+    ones DELTA.  If no point of w_r is taken twice and every untaken one is
+    light, the DELTA slots complete a perfect matching within L: d_B = L.
     """
     sup = a[:, None, 0] - b[:, None, :, 0]
     np.abs(sup, out=sup)
@@ -216,7 +216,7 @@ def _certify_lower_bound(a: np.ndarray, pa: np.ndarray, b: np.ndarray,
     near = sup.min(axis=2)
     bound = np.maximum(np.minimum(near, pa).max(axis=1, initial=0.0),
                        np.minimum(sup.min(axis=1, initial=np.inf), pb).max(axis=1))
-    chosen = near <= bound[:, None]
+    chosen = pa > bound[:, None]
     k = pb.shape[1]
     hits = np.bincount(np.nonzero(chosen)[0] * k + nearest[chosen],
                        minlength=pb.size).reshape(pb.shape)

@@ -29,6 +29,33 @@ def random_diagram(rng, max_size=5, scale=10.0, size=None):
     return Diagram(pts)
 
 
+def diagram_sets(seed, sets, max_size, draw):
+    """``sets`` seeded sets of 8 diagrams of 0 to max_size points each.
+
+    ``draw(rng, k)`` returns the k births and the k lengths of one diagram.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(sets):
+        dgms = []
+        for _ in range(8):
+            births, lengths = draw(rng, int(rng.integers(0, max_size + 1)))
+            dgms.append(Diagram(list(zip(births.tolist(), (births + lengths).tolist()))))
+        out.append(dgms)
+    return out
+
+
+def grid_sets():
+    """200 sets of 8 integer-grid diagrams, 0-5 points: births below 9, lengths 1-4."""
+    return diagram_sets(0, 200, 5, lambda rng, k: (rng.integers(0, 9, k), rng.integers(1, 5, k)))
+
+
+def float_sets():
+    """300 sets of 8 diagrams, 0-10 points: births in [0, 10), lengths in [0.05, 4)."""
+    return diagram_sets(5, 300, 10, lambda rng, k: (rng.uniform(0, 10, k),
+                                                    rng.uniform(0.05, 4, k)))
+
+
 def sandwich_holds(z, w, p):
     """d_B <= d_W,p <= (n + m)^(1/p) d_B, both sides within rounding_slack.
 

@@ -249,6 +249,34 @@ class TestDist:
         assert oracle.pop("oracle") is True and solver.pop("oracle") is False
         assert oracle == solver
 
+    def test_golden_digest(self, tmp_path, capsys):
+        # two fixed pairs (empty sides; duplicate points) and 60 seeded integer-grid
+        # pairs of 0-6 points a side, with ties: --bottleneck, --wasserstein 1, 2 and
+        # 3.5, and --oracle for d_B and W_2 where n + m <= 10; the sha256 of every
+        # exit code, stdout and stderr, the directory written as OUT
+        rng = np.random.default_rng(28)
+
+        def side():
+            births = rng.integers(0, 6, int(rng.integers(0, 7)))
+            return np.stack([births, births + rng.integers(1, 5, len(births))], axis=1).tolist()
+
+        pairs = [([], []), ([[0, 2], [0, 2]], [[0, 2], [1, 3], [0, 2]])]
+        pairs += [(side(), side()) for _ in range(60)]
+        transcript = []
+        for k, sides in enumerate(pairs):
+            files = [tmp_path / f"{k}{name}.json" for name in "ab"]
+            for path, points in zip(files, sides):
+                write_diagram(path, points)
+            metrics = [["--bottleneck"], *(["--wasserstein", p] for p in ("1", "2", "3.5"))]
+            if sum(map(len, sides)) <= 10:
+                metrics += [["--bottleneck", "--oracle"], ["--wasserstein", "2", "--oracle"]]
+            for metric in metrics:
+                code = main(["dist", *map(str, files), *metric])
+                captured = capsys.readouterr()
+                transcript.append(f"{code}\n{captured.out}{captured.err}")
+        digest = hashlib.sha256("".join(transcript).replace(str(tmp_path), "OUT").encode())
+        assert digest.hexdigest() == "899b52a3bca178dde717b8b9dc10938f6fb65ff9f409978633fc4e62b68b3c98"
+
 
 class TestEmbed:
     def test_two_point_metric(self, tmp_path, capsys):

@@ -39,6 +39,8 @@ from coarsepd.metrics import _cost, _tight_edges, rounding_slack
 from coarsepd.oracle import cost_matrix, min_assignment_max, min_assignment_sum
 from conftest import (
     exact_wasserstein_power,
+    float_sets,
+    grid_sets,
     padded_cost,
     random_diagram,
     sandwich_holds,
@@ -535,6 +537,14 @@ def pair_loop(dgms):
     return out + out.T
 
 
+def at_both_block_sizes(dgms):
+    """distance_matrix of dgms in blocks of _BLOCK_ENTRIES costs, then one later diagram a block."""
+    full = distance_matrix(dgms)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_BLOCK_ENTRIES", 1)
+        return full, distance_matrix(dgms)
+
+
 class TestCertifiedDistanceMatrix:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(integer_diagrams(), min_size=2, max_size=8))
@@ -543,12 +553,24 @@ class TestCertifiedDistanceMatrix:
     # a row smaller than the later rows, and an empty diagram between non-empty ones
     @example([d((0, 2), (1, 3), (2, 5)), Diagram(), d((1, 3)), d((0, 2), (0, 2))])
     def test_equals_pair_loop_bit_for_bit(self, dgms):
-        assert distance_matrix(dgms).tobytes() == pair_loop(dgms).tobytes()
+        expected = pair_loop(dgms).tobytes()
+        assert all(m.tobytes() == expected for m in at_both_block_sizes(dgms))
 
     def test_mixed_size_union_equals_pair_loop_bit_for_bit(self):
         union = embed_coarse_union(dranishnikov_S(4, 2)).diagrams
         assert len(union) == 40 and max(map(len, union)) == 15
-        assert distance_matrix(union).tobytes() == pair_loop(union).tobytes()
+        expected = pair_loop(union).tobytes()
+        assert all(m.tobytes() == expected for m in at_both_block_sizes(union))
+
+    @pytest.mark.parametrize("sets,most", [(grid_sets, 400), (float_sets, 2300)],
+                             ids=["grid", "float"])
+    def test_seeded_samples_rarely_fall_back(self, fallbacks, sets, most):
+        # 5,600 integer-grid and 8,400 float pairs; 1,449 and 3,989 fell back when
+        # every point within the bound took its nearest point, light ones too
+        sample = sets()
+        for dgms in sample:
+            assert distance_matrix(dgms).tobytes() == pair_loop(dgms).tobytes()
+        assert len(fallbacks) <= most
 
     @pytest.mark.parametrize("z,w,value", [
         # Both points of z are nearest to the one point of w.
