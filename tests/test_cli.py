@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -394,6 +395,30 @@ class TestCover:
         result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                                 text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
         assert result.stdout == "0 []\n", result.stderr
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="glibc heap thresholds")
+    def test_freed_heap_is_not_refaulted(self):
+        # Ten 96 KB arrays freed at the top of the heap: by default glibc trims
+        # them and the next round faults about 160 fresh pages (7,800 here).
+        script = (
+            "import contextlib, io, resource\n"
+            "import numpy as np\n"
+            "import coarsepd.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    coarsepd.cli.main(['cover', '--space', 'd1', '--scale', '1', '--trials', '10'])\n"
+            "xs = [np.ones(12_000) for _ in range(10)]\n"
+            "del xs\n"
+            "start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(50):\n"
+            "    xs = [np.ones(12_000) for _ in range(10)]\n"
+            "    del xs\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert int(result.stdout) < 50, result.stderr
 
 
 class TestGen:
