@@ -1,9 +1,9 @@
-"""Bipartite perfect matchings of boolean edge matrices.
+"""Bipartite matchings of boolean edge matrices.
 
-scipy's ``linear_sum_assignment`` on the 0/1 cost ``~ok`` finds a perfect
-matching of a boolean edge matrix when there is one; the lex-min recovery
-improves a given perfect matching one row at a time along alternating
-paths.
+scipy's ``linear_sum_assignment`` on the 0/1 cost ``~ok`` finds a matching
+that covers every row of a boolean edge matrix when there is one; the
+lex-min recovery improves a given perfect matching one row at a time along
+alternating paths.
 """
 
 from __future__ import annotations
@@ -14,12 +14,20 @@ import numpy as np
 
 
 def perfect_matching(ok: np.ndarray) -> Optional[np.ndarray]:
-    """Column of each row in a perfect matching of ok, or None when there is none."""
+    """Column of each row in a matching of ok that covers every row, or None when there is none.
+
+    ok may be a rectangle; one with no rows needs no solve.
+    """
+    rows, cols = ok.shape
+    if rows > cols:
+        return None
+    if rows == 0:
+        return np.arange(0)
     # Imported here so that commands which never match do not load scipy.
     from scipy.optimize import linear_sum_assignment
 
     col = linear_sum_assignment(~ok)[1]  # cost 0 on an edge, 1 off it
-    return col if ok[np.arange(len(ok)), col].all() else None
+    return col if ok[np.arange(rows), col].all() else None
 
 
 def _bit_rows(ok: np.ndarray) -> list[int]:

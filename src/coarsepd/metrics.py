@@ -2,18 +2,15 @@
 
 Both distances are minima over matchings on n + m slots, in which each
 point goes to a point of the other diagram or to the diagonal: rows below
-n are z's points and columns from m on are DELTA.  The bottleneck value is
-a threshold search over the pairwise costs with a perfect-matching test;
-the p-Wasserstein value is an optimal assignment on the cost-power matrix.
-Both run on scipy's ``linear_sum_assignment``, the package's one matching
-solver.  ``bottleneck`` and ``wasserstein`` also return the lex-min optimal
-matching; ``bottleneck_distance``, ``wasserstein_distance`` and
-``distance_matrix`` return the same values without one.
-``distance_matrix`` decides most bottleneck pairs without a solver call: it
-puts every diagram into one array padded with +inf and, row by row,
-certifies the threshold search's lower bound against every later diagram
-by giving each point too persistent for the diagonal its nearest point;
-only the pairs it declines go to ``bottleneck_distance``.
+n are z's points and columns from m on are DELTA.  d_B is a threshold
+search on the n x m point block, since only points whose persistence
+exceeds t need a partner within t; W_p is an optimal assignment on the
+cost-power matrix.  Both run on scipy's ``linear_sum_assignment``, the
+package's one matching solver.  ``bottleneck`` and ``wasserstein`` also
+return the lex-min optimal matching; ``bottleneck_distance``,
+``wasserstein_distance`` and ``distance_matrix`` return the same values
+without one, and ``distance_matrix`` certifies most d_B pairs a row at a
+time without a solver call.
 """
 
 from __future__ import annotations
@@ -29,65 +26,85 @@ from .diagram import Diagram, Matching, _check_exponent
 _BLOCK_ENTRIES = 2 ** 22  # largest (pairs, K, K) cost block of distance_matrix
 
 
-def _cost(z: Diagram, w: Diagram) -> np.ndarray:
-    """Square cost matrix of z and w on n + m slots; equals ``oracle.cost_matrix``.
-
-    Built in blocks: the sup metric between points, each point's
-    persistence against every DELTA slot, and zero between DELTA slots.
-    """
-    n, m = len(z), len(w)
+def _point_block(z: Diagram, w: Diagram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sup distances (n, m) between the points of z and w, and their persistences."""
     a = np.array(z.points, dtype=float).reshape(-1, 2)
     b = np.array(w.points, dtype=float).reshape(-1, 2)
+    sup = np.maximum(np.abs(a[:, None, 0] - b[:, 0]), np.abs(a[:, None, 1] - b[:, 1]))
+    return sup, (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
+
+
+def _square(sup: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Square cost matrix on n + m slots of a point block: DELTA-DELTA costs 0."""
+    n, m = sup.shape
     out = np.zeros((n + m, n + m))
-    out[:n, :m] = np.maximum(np.abs(a[:, None, 0] - b[:, 0]), np.abs(a[:, None, 1] - b[:, 1]))
-    out[:n, m:] = ((a[:, 1] - a[:, 0]) / 2.0)[:, None]
-    out[n:, :m] = (b[:, 1] - b[:, 0]) / 2.0
+    out[:n, :m] = sup
+    out[:n, m:] = pa[:, None]
+    out[n:, :m] = pb
     return out
 
 
-def _bottleneck_value(cost: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest pairwise cost at which the square cost matrix has a perfect matching.
+def _cost(z: Diagram, w: Diagram) -> np.ndarray:
+    """Square cost matrix of z and w on n + m slots; equals ``oracle.cost_matrix``."""
+    return _square(*_point_block(z, w))
 
-    Every row and every column must be matched, so no cost below
-    max(max_i min_j c_ij, max_j min_i c_ij) is feasible.  That bound is
-    itself a cost and is often the optimum, so it is tested first; the
-    larger costs are bisected.  Returns the value and the perfect matching
-    its test found, or the identity at the untested largest cost.
+
+def _lower_bound(sup: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Largest row or column minimum of the (n + m)-slot matrix: no smaller cost is feasible.
+
+    ``sup`` may have leading axes, ``(..., n, m)``, against which ``pa`` and ``pb`` broadcast.
     """
-    if cost.size == 0:
-        return 0.0, np.arange(0)
-    bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
-    col = perfect_matching(cost <= bound)
-    if col is not None:
-        return float(bound), col
-    candidates = np.unique(cost[cost > bound])
+    rows = np.minimum(sup.min(axis=-1, initial=np.inf), pa).max(axis=-1, initial=0.0)
+    cols = np.minimum(sup.min(axis=-2, initial=np.inf), pb).max(axis=-1, initial=0.0)
+    return np.maximum(rows, cols)
+
+
+def _feasible(sup: np.ndarray, pa: np.ndarray, pb: np.ndarray, t: float) -> bool:
+    """Whether the (n + m)-slot cost matrix has a perfect matching within t.
+
+    Only heavy points, whose persistence exceeds t, cannot take DELTA; by Mendelsohn-Dulmage,
+    one matching of the point block covers both sides' heavy points iff each side's can be.
+    """
+    ok = sup <= t
+    return (perfect_matching(ok[pa > t]) is not None
+            and perfect_matching(ok[:, pb > t].T) is not None)
+
+
+def _bottleneck_value(sup: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> float:
+    """Smallest pairwise cost within which the (n + m)-slot cost matrix has a perfect matching.
+
+    The bound is a cost and often the optimum, so it is tested first.  The
+    larger costs, those of sup, pa and pb, are bisected; the largest needs no test.
+    """
+    bound = _lower_bound(sup, pa, pb)
+    if _feasible(sup, pa, pb, bound):
+        return float(bound)
+    candidates = np.unique(np.concatenate([sup[sup > bound], pa[pa > bound], pb[pb > bound]]))
     lo, hi = 0, len(candidates) - 1
-    col = np.arange(len(cost))
     while lo < hi:
         mid = (lo + hi) // 2
-        found = perfect_matching(cost <= candidates[mid])
-        if found is None:
-            lo = mid + 1
+        if _feasible(sup, pa, pb, candidates[mid]):
+            hi = mid
         else:
-            hi, col = mid, found
-    return float(candidates[lo]), col
+            lo = mid + 1
+    return float(candidates[lo])
 
 
 def bottleneck(z: Diagram, w: Diagram) -> tuple[float, Matching]:
     """Exact bottleneck distance and an optimal matching.
 
-    The optimum is one of the pairwise costs, so the search is over that
-    discrete set.  The matching is the lex-min optimal permutation of the
-    n + m slots.
+    One solve at the value gives a perfect matching of the n + m slots, from which the lex-min
+    pass, whose result depends only on the graph, finds the lex-min optimal one.
     """
-    cost = _cost(z, w)
-    value, col = _bottleneck_value(cost)
-    return value, Matching(lex_min_perfect_matching(cost <= value, col))
+    block = _point_block(z, w)
+    value = _bottleneck_value(*block)
+    ok = _square(*block) <= value
+    return value, Matching(lex_min_perfect_matching(ok, perfect_matching(ok)))
 
 
 def bottleneck_distance(z: Diagram, w: Diagram) -> float:
     """Exact bottleneck distance without a matching; equals ``bottleneck(z, w)[0]``."""
-    return _bottleneck_value(_cost(z, w))[0]
+    return _bottleneck_value(*_point_block(z, w))
 
 
 def _tight_edges(cost: np.ndarray, sigma: np.ndarray, optimum: float) -> np.ndarray:
@@ -199,9 +216,8 @@ def _certify_lower_bound(a: np.ndarray, pa: np.ndarray, b: np.ndarray,
     ``a`` (n, 2) holds z's own points and ``b`` (B, K, 2) those of each w_r,
     padded to K rows with +inf, so every cost against a padding slot is
     +inf; ``pa`` (n,) and ``pb`` (B, K) are their persistences, zero-padded.
-    L is the bound ``_bottleneck_value`` tests first, built from the same
-    float expressions as ``_cost``: the largest row or column minimum of the
-    width-(n + m) matrix (an empty z gives L = max pb).  A heavy point, whose
+    L is ``_lower_bound`` of each pair's block, from ``_point_block``'s float expressions
+    (padding, at cost +inf and persistence 0, changes no bound).  A heavy point, whose
     persistence exceeds L, cannot take DELTA, but its row minimum is <= L, so
     its nearest point of w_r is within L.  Heavy points of z take those, light
     ones DELTA.  If no point of w_r is taken twice and every untaken one is
@@ -213,9 +229,7 @@ def _certify_lower_bound(a: np.ndarray, pa: np.ndarray, b: np.ndarray,
     np.abs(dy, out=dy)
     np.maximum(sup, dy, out=sup)
     nearest = sup.argmin(axis=2)
-    near = sup.min(axis=2)
-    bound = np.maximum(np.minimum(near, pa).max(axis=1, initial=0.0),
-                       np.minimum(sup.min(axis=1, initial=np.inf), pb).max(axis=1))
+    bound = _lower_bound(sup, pa, pb)
     chosen = pa > bound[:, None]
     k = pb.shape[1]
     hits = np.bincount(np.nonzero(chosen)[0] * k + nearest[chosen],

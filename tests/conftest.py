@@ -139,3 +139,20 @@ def random_connected_metric(rng, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Shapes of the cost matrices passed to scipy's linear_sum_assignment."""
+    import scipy.optimize
+
+    calls = []
+    solve = scipy.optimize.linear_sum_assignment
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return solve(cost)
+
+    # Both solver imports are local to the call, so they see the patch.
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
+    return calls

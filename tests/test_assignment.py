@@ -74,6 +74,25 @@ class TestMatchingHelpers:
         ok[1, 1] = True
         assert perfect_matching(ok).tolist() == [0, 1]
 
+    def test_rectangle_without_room_for_every_row(self, solves):
+        assert perfect_matching(np.ones((3, 2), dtype=bool)) is None
+        assert perfect_matching(np.ones((1, 0), dtype=bool)) is None
+        assert solves == []
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+    def test_no_rows_need_no_solve(self, solves, shape):
+        col = perfect_matching(np.ones(shape, dtype=bool))
+        assert col.shape == (0,) and solves == []
+
+    def test_wide_rectangle(self, solves):
+        # row 0 reaches only column 1, row 1 columns 1 and 2
+        ok = np.array([[False, True, False], [False, True, True]])
+        assert perfect_matching(ok).tolist() == [1, 2]
+        # now both rows reach only column 1
+        ok[1, 2] = False
+        assert perfect_matching(ok) is None
+        assert solves == [(2, 3), (2, 3)]
+
     @pytest.mark.parametrize("col", [(1, 0), (0, 0), (0, 2), (-1, 0), (0,), ((0, 1),)])
     def test_start_that_is_not_a_matching(self, col):
         # (1, 0) is a permutation that uses the missing edge (0, 1)

@@ -34,7 +34,7 @@ from coarsepd import (
     zkm_space,
 )
 from coarsepd import metrics
-from coarsepd.assignment import lex_min_perfect_matching
+from coarsepd.assignment import lex_min_perfect_matching, perfect_matching
 from coarsepd.metrics import _cost, _tight_edges, rounding_slack
 from coarsepd.oracle import cost_matrix, min_assignment_max, min_assignment_sum
 from conftest import (
@@ -417,59 +417,47 @@ class TestValueOnly:
         assert distance_matrix(dgms, p=1)[0, 1] == 3.0
 
 
-@pytest.fixture
-def solves(monkeypatch):
-    """Shapes of the cost matrices passed to scipy's linear_sum_assignment."""
-    import scipy.optimize
-
-    calls = []
-    solve = scipy.optimize.linear_sum_assignment
-
-    def counted(cost):
-        calls.append(cost.shape)
-        return solve(cost)
-
-    # Both solver imports are local to the call, so they see the patch.
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
-    return calls
-
-
 # d_B = 1.5 is the largest cost; the lower bound of the search is 1.0.
 AT_LARGEST_COST = (d((1, 4)), d((2, 5), (2, 5)))
 
 
 class TestOneSolvePerMatchedDistance:
-    """The lex-min pass starts from the matching the solve found."""
+    """The matching adds one solve on the n + m slots, at the value.
+
+    The d_B search itself solves only heavy-row rectangles of the point block.
+    """
 
     def test_bottleneck_at_lower_bound(self, solves):
+        # no point is heavy at the bound 2.0, so the search needs no solve
         z, w = d((0, 4), (1, 3)), d((3, 6), (2, 5))
         cost = _cost(z, w)
         value = bottleneck_distance(z, w)
         assert value == max(cost.min(axis=1).max(), cost.min(axis=0).max())
-        assert len(solves) == 1
+        assert solves == []
         assert bottleneck(z, w)[0] == value
-        assert len(solves) == 2
+        assert solves == [(4, 4)]
 
     @pytest.mark.parametrize("pair", [BOUND_BELOW_OPTIMUM, WIDE, AT_LARGEST_COST])
     def test_bottleneck_matching_adds_no_solve(self, solves, pair):
+        # beyond the one at the value
         bottleneck_distance(*pair)
-        tests = len(solves)
+        tests = list(solves)
         bottleneck(*pair)
-        assert len(solves) == 2 * tests
+        width = len(pair[0]) + len(pair[1])
+        assert solves == tests + tests + [(width, width)]
 
     def test_value_at_largest_cost(self, solves):
-        # the bound 1.0 is infeasible and 1.5 is the only larger cost, so no
-        # test runs at the value and the lex-min pass starts from the identity
+        # the bound 1.0 is infeasible (two heavy points of w, one of z) and
+        # 1.5 is the only larger cost, so no test runs at the value
         z, w = AT_LARGEST_COST
         cost = _cost(z, w)
-        value, col = metrics._bottleneck_value(cost)
-        assert (value, col.tolist(), len(solves)) == (1.5, [0, 1, 2], 1)
+        value = metrics._bottleneck_value(*metrics._point_block(z, w))
+        assert (value, solves) == (1.5, [(1, 2)])
         assert value == cost.max()
         assert bottleneck(z, w) == bottleneck_bruteforce(z, w)
 
     def test_empty_pair_needs_no_solve(self, solves):
-        value, col = metrics._bottleneck_value(_cost(Diagram(), Diagram()))
-        assert (value, col.tolist()) == (0.0, [])
+        assert metrics._bottleneck_value(*metrics._point_block(Diagram(), Diagram())) == 0.0
         assert bottleneck(Diagram(), Diagram()) == (0.0, metrics.Matching(()))
         assert solves == []
 
@@ -492,6 +480,28 @@ def grid_diagrams(denominator, max_size=5):
     point = st.tuples(st.integers(0, 100), st.integers(1, 100)).map(
         lambda t: (t[0] / denominator, (t[0] + t[1]) / denominator))
     return st.lists(point, max_size=max_size).map(Diagram)
+
+
+class TestCoveringTest:
+    """d_B's test on the point block decides the (n + m)-slot threshold graph.
+
+    Only heavy points, whose persistence exceeds t, cannot take DELTA; by
+    Mendelsohn-Dulmage, one covering of both sides' heavy points exists
+    exactly when each side's can be covered on its own.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_diagrams(), integer_diagrams())
+    @example(Diagram(), d((0, 2), (1, 4), (1, 4)))
+    @example(d((0, 2), (0, 2), (1, 4)), Diagram())
+    @example(*BOUND_BELOW_OPTIMUM)
+    @example(*AT_LARGEST_COST)
+    @example(*WIDE)
+    def test_equals_square_perfect_matching(self, z, w):
+        cost = _cost(z, w)
+        block = metrics._point_block(z, w)
+        for t in np.unique(cost):
+            assert metrics._feasible(*block, t) == (perfect_matching(cost <= t) is not None)
 
 
 class TestExactWasserstein:
@@ -657,11 +667,21 @@ class TestNarrowBottleneck:
     @pytest.mark.parametrize("z,w", [(d((0, 2)), d((1, 3), (2, 6), (4, 5))),
                                      (Diagram(), d((1, 3), (2, 6))), AT_LARGEST_COST])
     def test_solves_at_width_n_plus_m(self, solves, z, w):
-        bottleneck(z, w)
-        bottleneck_distance(w, z)
+        # W_p and the matching solve at width n + m; the d_B search solves
+        # heavy rows of one side against all points of the other
+        width = (len(z) + len(w),) * 2
+        for left, right in ((z, w), (w, z)):
+            del solves[:]
+            bottleneck_distance(left, right)
+            search = list(solves)
+            assert all(r <= c and ((r <= len(left) and c == len(right))
+                                   or (r <= len(right) and c == len(left))) for r, c in search)
+            bottleneck(left, right)
+            assert solves == search + search + [width]
+        del solves[:]
         wasserstein(z, w, 2)
         wasserstein_distance(w, z, 1)
-        assert solves and set(solves) == {(len(z) + len(w),) * 2}
+        assert solves == [width, width]
 
 
 def test_512_point_pair():
