@@ -7,7 +7,7 @@ absorbing the near-diagonal region (its bottleneck diameter stays bounded
 because the diagonal shortcut caps distances at the larger persistence).
 ``verify_cover`` samples point pairs and checks R-disjointness and uniform
 boundedness; violations are data, not errors.  It works on whole blocks of
-trials at once.
+trials at once, and draws points only where the trials start.
 """
 
 from __future__ import annotations
@@ -84,8 +84,9 @@ def brick_classify_array(points: np.ndarray, R: float) -> np.ndarray:
     u = (birth + death) / 2.0
     j = np.floor((q - L) / L)
     i = np.floor((u - L * j) / (2.0 * L))
-    # (2i + j) mod 3 from residues: 2i + j itself is inexact past 2**53.
-    color = np.mod(2.0 * np.mod(i, 3.0) + np.mod(j, 3.0), 3.0)
+    # (2i + j) mod 3 from residues, which sum to 0..6: 2i + j is inexact past 2**53.
+    color = 2.0 * np.mod(i, 3.0) + np.mod(j, 3.0)
+    color = np.where(color >= 3.0, np.where(color >= 6.0, color - 6.0, color - 3.0), color)
     # A NaN q (DELTA) fails q > L.
     near = ~(q > L) | ((color == 0.0) & (j == 0.0))
     return np.where(near, np.array([[0.0], [0.0], [-1.0]]), np.stack([color, i, j]))
@@ -102,9 +103,9 @@ DELTA_PROB = 0.02
 # Violations a report lists, in trial order; later ones are dropped.
 MAX_RECORDED_VIOLATIONS = 100
 
-Sampler = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-Perturber = Callable[[np.ndarray, np.ndarray, np.ndarray, float],
-                     tuple[np.ndarray, np.ndarray]]
+Sampler = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Perturber = Callable[[np.ndarray, np.ndarray, np.ndarray, float], np.ndarray]
+Reads = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
 
 
 def _check_finite(extent: float, what: str) -> None:
@@ -112,7 +113,7 @@ def _check_finite(extent: float, what: str) -> None:
         raise ValueError(f"{what} range is not finite")
 
 
-def line_sampler(window: float = 1000.0) -> tuple[Sampler, Perturber]:
+def line_sampler(window: float = 1000.0) -> tuple[Sampler, Perturber, Reads]:
     """Uniform sampler on [-window, window] with a local perturber.
 
     Points are floats.  Each draw reads one double ``r`` and computes
@@ -122,18 +123,20 @@ def line_sampler(window: float = 1000.0) -> tuple[Sampler, Perturber]:
     """
     _check_finite(window - -window, "sampling")
 
-    def sample(u: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return -window + (window - -window) * u[at], np.ones_like(at)
+    def sample(u: np.ndarray, at: np.ndarray) -> np.ndarray:
+        return -window + (window - -window) * u[at]
 
-    def perturb(u: np.ndarray, at: np.ndarray, t: np.ndarray,
-                scale: float) -> tuple[np.ndarray, np.ndarray]:
+    def perturb(u: np.ndarray, at: np.ndarray, t: np.ndarray, scale: float) -> np.ndarray:
         _check_finite(scale - -scale, "perturbation")
-        return t + (-scale + (scale - -scale) * u[at]), np.ones_like(at)
+        return t + (-scale + (scale - -scale) * u[at])
 
-    return sample, perturb
+    def reads(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        return np.ones(n, dtype=np.intp), np.ones(n, dtype=np.intp)
+
+    return sample, perturb, reads
 
 
-def diagram_point_sampler(max_persistence: float = 1e4) -> tuple[Sampler, Perturber]:
+def diagram_point_sampler(max_persistence: float = 1e4) -> tuple[Sampler, Perturber, Reads]:
     """Sampler over single diagram points with persistence <= max_persistence.
 
     Points are (births, deaths) arrays with NaN columns for DELTA.  A
@@ -147,27 +150,29 @@ def diagram_point_sampler(max_persistence: float = 1e4) -> tuple[Sampler, Pertur
     top = max_persistence
     _check_finite(4.0 * top, "sampling")
 
-    def sample(u: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def sample(u: np.ndarray, at: np.ndarray) -> np.ndarray:
         q = 0.0 + (top - 0.0) * u[at + 1]
         mid = q + ((q + top) - q) * u[at + 2]
-        early = u[at] < DELTA_PROB
-        points = np.where(early | (q <= 0.0), np.nan, np.stack([mid - q, mid + q]))
-        return points, np.where(early, 1, 3)
+        delta = (u[at] < DELTA_PROB) | (q <= 0.0)
+        return np.where(delta, np.nan, np.stack([mid - q, mid + q]))
 
-    def perturb(u: np.ndarray, at: np.ndarray, p: np.ndarray,
-                scale: float) -> tuple[np.ndarray, np.ndarray]:
+    def perturb(u: np.ndarray, at: np.ndarray, p: np.ndarray, scale: float) -> np.ndarray:
         _check_finite(4.0 * (top + scale), "perturbation")
         birth, death = p
         q = (death - birth) / 2.0 + (-scale + (scale - -scale) * u[at])
         mid = (birth + death) / 2.0 + (-scale + (scale - -scale) * u[at + 1])
         mid = np.maximum(mid, q)
         points = np.where(q <= 0.0, np.nan, np.stack([mid - q, mid + q]))
-        used = np.full(at.size, 2)
         was_delta = np.flatnonzero(np.isnan(birth))
-        points[:, was_delta], used[was_delta] = sample(u, at[was_delta])
-        return points, used
+        points[:, was_delta] = sample(u, at[was_delta])
+        return points
 
-    return sample, perturb
+    def reads(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        early = u[:n] < DELTA_PROB
+        delta = early | ((top - 0.0) * u[1:n + 1] <= 0.0)
+        return np.where(early, 1, 3), np.where(delta, 0, 2)
+
+    return sample, perturb, reads
 
 
 def _as_point(p: np.ndarray) -> Point | float:
@@ -178,7 +183,7 @@ def _as_point(p: np.ndarray) -> Point | float:
     return DELTA if math.isnan(birth) else (birth, death)
 
 
-def verify_cover(sampler: tuple[Sampler, Perturber],
+def verify_cover(sampler: tuple[Sampler, Perturber, Reads],
                  classify: Callable[[np.ndarray, float], np.ndarray],
                  metric: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  R: float,
@@ -194,11 +199,12 @@ def verify_cover(sampler: tuple[Sampler, Perturber],
     The callables work on float arrays whose last axis runs over points
     (see ``line_sampler`` and ``diagram_point_sampler``):
 
-    - ``sampler`` is a ``(sample, perturb)`` pair.  ``sample(u, at)``
-      returns the points drawn from the doubles of ``u`` starting at each
-      offset in ``at``, and the count each one read; ``perturb(u, at, x,
-      scale)`` does the same for perturbations of the points ``x`` within
-      ``scale``.  Each reads at most three doubles.
+    - ``sampler`` is a ``(sample, perturb, reads)`` triple: ``sample(u, at)``
+      draws points from the doubles of ``u`` at each offset in ``at``,
+      ``perturb(u, at, x, scale)`` moves the points ``x`` within ``scale``,
+      and ``reads(u, n)`` counts from comparisons of ``u`` alone the doubles
+      that a sample at each offset below ``n`` reads (at most three) and
+      that a perturbation of it reads (0: it samples afresh at its offset).
     - ``classify(points, R)`` returns one label column per point: the
       family, then the set within the family (``interval_classify_array``,
       ``brick_classify_array``).
@@ -207,15 +213,20 @@ def verify_cover(sampler: tuple[Sampler, Perturber],
 
     Trials read the doubles of ``np.random.default_rng(seed)`` in order:
     a sample, a coin, then a perturbation when the coin is below 0.5 and
-    a second sample otherwise.  The first MAX_RECORDED_VIOLATIONS
-    violations are listed in trial order, with points as Python floats,
-    (birth, death) tuples and DELTA.
+    a second sample otherwise.  The read counts place each trial before any
+    point is drawn.  The first MAX_RECORDED_VIOLATIONS violations are listed
+    in trial order, with points as Python floats, (birth, death) tuples and
+    DELTA.  Raises ValueError unless ``trials`` is an integer >= 1 and
+    ``3 * uniform_bound`` is positive and finite.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    sample, perturb = sampler
-    rng = np.random.default_rng(seed)
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not uniform_bound > 0.0:
+        raise ValueError(f"uniform_bound must be positive, got {uniform_bound}")
     scale = 3.0 * uniform_bound
+    _check_finite(scale, f"uniform_bound {uniform_bound}: perturbation")
+    sample, perturb, reads = sampler
+    rng = np.random.default_rng(seed)
     limit = uniform_bound + rounding_slack(uniform_bound)
     min_cross = math.inf
     max_diam = 0.0
@@ -225,31 +236,30 @@ def verify_cover(sampler: tuple[Sampler, Perturber],
         block = min(trials - done, _BLOCK_TRIALS)
         # Top up the carried doubles so that the block cannot run out.
         u = np.concatenate([u, rng.random(max(block * _TRIAL_DRAWS - u.size, 0))])
-        # Every draw starts at an offset of `table` and reads only doubles of
-        # `u`; so does every trial that starts before `count`, which all
-        # trials of the block do, as each reads at most _TRIAL_DRAWS doubles.
-        offsets = np.arange(u.size - _MAX_DRAWS + 1)
-        table, table_used = sample(u, offsets)
+        # Every draw that `reads` covers reads only doubles of `u`; so does
+        # every trial that starts before `count`, which all trials of the
+        # block do, as each reads at most _TRIAL_DRAWS doubles.
+        drawn, moved = reads(u, u.size - _MAX_DRAWS + 1)
         count = u.size - _TRIAL_DRAWS + 1
-        at, x = offsets[:count], table[..., :count]
-        nxt = at + table_used[:count]
+        nxt = np.arange(count) + drawn[:count]
         coin = u[nxt] < 0.5
         nxt += 1
-        moved, moved_used = perturb(u, nxt, x, scale)
-        y = np.where(coin, moved, np.take(table, nxt, axis=-1))
-        used = np.where(coin, moved_used, table_used[nxt])
+        moved = np.where(coin, moved[:count], 0)
         # The trial at offset s reads steps[s] doubles; steps are small
         # ints, which Python caches, so the list and the walk are cheap.
-        steps = (nxt + used - at).tolist()
+        steps = (drawn[:count] + 1 + np.where(moved > 0, moved, drawn[nxt])).tolist()
         starts = [0] * block
         s = 0
         for k in range(block):
             starts[k] = s
             s += steps[s]
-        u = u[s:]
 
         starts = np.array(starts, dtype=np.intp)
-        x, y = np.take(x, starts, axis=-1), np.take(y, starts, axis=-1)
+        nxt, coin = nxt[starts], coin[starts]
+        points = sample(u, np.concatenate([starts, nxt]))
+        x = points[..., :block]
+        y = np.where(coin, perturb(u, nxt, x, scale), points[..., block:])
+        u = u[s:]
         labels = classify(np.concatenate([x, y], axis=-1), R)
         lx, ly = labels[:, :block], labels[:, block:]
         pair = np.flatnonzero(lx[0] == ly[0])
@@ -265,7 +275,7 @@ def verify_cover(sampler: tuple[Sampler, Perturber],
                                float(dist[k])))
     return CoverReport(
         scale=R,
-        samples=trials,
+        samples=int(trials),
         min_same_family_cross_set_distance=min_cross,
         max_set_diameter_observed=max_diam,
         uniform_bound_claimed=uniform_bound,

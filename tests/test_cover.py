@@ -121,7 +121,7 @@ class TestStreamEquivalence:
             else:
                 assert scalar.random() == u[k]
 
-    @pytest.mark.parametrize("trials", [1, 7, _BLOCK_TRIALS + 1])
+    @pytest.mark.parametrize("trials", [1, 7, _BLOCK_TRIALS + 1, 2 * _BLOCK_TRIALS + 3])
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("case", STREAM_CASES, ids=lambda c: f"{c[0]}-R{c[1]}-b{c[3]}")
     def test_report_equals_per_trial_loop(self, case, seed, trials):
@@ -160,16 +160,44 @@ class TestStreamEquivalence:
 
     def test_block_memory_is_bounded(self):
         # Unread doubles carry into the next block; the blocks must not grow.
-        sample, perturb = diagram_point_sampler(1e4)
+        sample, perturb, reads = diagram_point_sampler(1e4)
         sizes = []
 
         def recording_sample(u, at):
             sizes.append(u.size)
             return sample(u, at)
 
-        verify_cover((recording_sample, perturb), brick_classify_array,
+        verify_cover((recording_sample, perturb, reads), brick_classify_array,
                      bottleneck_1pt_array, 1.0, 6 * _BLOCK_TRIALS, 0, 6.0)
         assert sizes == [7 * _BLOCK_TRIALS] * 6
+
+    @pytest.mark.parametrize("space", ["line", "d1"])
+    def test_points_are_drawn_only_at_trial_starts(self, space):
+        # Per block, `sample` sees the trial starts and the second-draw
+        # offsets, and `perturb` the perturbation offsets: not every offset.
+        sampler = line_sampler(100.0) if space == "line" else diagram_point_sampler(100.0)
+        sample, perturb, reads = sampler
+        sampled, perturbed = [], []
+
+        def recording_sample(u, at):
+            sampled.append(at.size)
+            return sample(u, at)
+
+        def recording_perturb(u, at, x, scale):
+            perturbed.append(at.size)
+            return perturb(u, at, x, scale)
+
+        trials = 2 * _BLOCK_TRIALS + 3
+        classify, metric = ((interval_classify_array, line_metric) if space == "line"
+                            else (brick_classify_array, bottleneck_1pt_array))
+        report = verify_cover((recording_sample, recording_perturb, reads), classify,
+                              metric, 1.0, trials, 4, 6.0)
+        expected = verify_cover(sampler, classify, metric, 1.0, trials, 4, 6.0)
+        assert repr(report) == repr(expected)
+        blocks = [_BLOCK_TRIALS, _BLOCK_TRIALS, 3]
+        assert len(sampled) == len(perturbed) == len(blocks)
+        for block, n_sampled, n_perturbed in zip(blocks, sampled, perturbed):
+            assert n_sampled <= 2 * block and n_perturbed <= block
 
 
 def grid_point(L, i, j, dq, du):
@@ -290,6 +318,30 @@ class TestBrickClassify:
         a = (2.0, 30.0)
         assert brick_label(a, 1.0) == brick_label(a, 1.0)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("magnitude", [2**53, 2**60])
+    def test_colour_at_huge_indices(self, magnitude, sign):
+        # A grid of points whose |i| and |j| lie near `magnitude`, where
+        # 2i + j is inexact as a float; it holds all 9 pairs of residues
+        # (i mod 3, j mod 3).
+        R = 0.5
+        spacing = math.ulp(float(magnitude))
+        points = []
+        for a in range(12):
+            for b in range(12):
+                q = magnitude + a * spacing
+                u = (2 * sign + 1) * magnitude + b * 2 * spacing
+                points.append((u - q, u + q))
+        labels = brick_classify_array(as_columns(points), R)
+        residues = set()
+        for p, (family, i, j) in zip(points, labels.T.tolist()):
+            ref_family, (_, ref_i, ref_j) = brick_classify(p, R)
+            assert (family, i, j) == (ref_family, ref_i, ref_j)
+            assert magnitude / 2 <= abs(ref_i) <= 2 * magnitude
+            assert magnitude / 2 <= ref_j <= 2 * magnitude
+            residues.add((ref_i % 3, ref_j % 3))
+        assert len(residues) == 9
+
     @pytest.mark.parametrize("s", [0.5, 3.0, 100.0])
     def test_scale_equivariance(self, s, rng):
         q = rng.uniform(0.01, 100.0, size=200)
@@ -334,3 +386,22 @@ class TestVerifyCover:
         with pytest.raises(ValueError):
             verify_cover(line_sampler(), interval_classify_array, lambda a, b: abs(a - b),
                          1.0, 0, 0, 2.0)
+
+    @pytest.mark.parametrize("trials", [True, False, 1000.0, 2.5, "10", None])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            verify_cover(line_sampler(), interval_classify_array, line_metric,
+                         1.0, trials, 0, 2.0)
+
+    def test_numpy_integer_trials_accepted(self):
+        report = verify_cover(line_sampler(), interval_classify_array, line_metric,
+                              1.0, np.int64(50), 0, 2.0)
+        expected = verify_cover(line_sampler(), interval_classify_array, line_metric,
+                                1.0, 50, 0, 2.0)
+        assert repr(report) == repr(expected)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 0.0, -2.0, 1e308])
+    def test_uniform_bound_must_be_positive_and_finite(self, bound):
+        with pytest.raises(ValueError, match="uniform_bound"):
+            verify_cover(line_sampler(), interval_classify_array, line_metric,
+                         1.0, 10, 0, bound)
