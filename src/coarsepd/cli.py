@@ -2,8 +2,9 @@
 
 Machine-readable JSON goes to standard output; human diagnostics go to
 standard error.  Exit codes: 0 success, 1 parse/size errors, 2 oracle
-oversize, 3 invalid metric, 4 cover violations, 5 generated space too
-large, 6 verification deviation beyond tolerance.
+oversize or a usage error from argparse (such as ``--scale -1``), 3 invalid
+metric, 4 cover violations, 5 generated space too large, 6 verification
+deviation beyond tolerance.
 """
 
 from __future__ import annotations
@@ -254,7 +255,10 @@ def _cmd_profile(args) -> int:
 
 
 def _positive_float(raw: str) -> float:
-    value = float(raw)
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {raw}") from None
     if value <= 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {raw}")
     if not math.isfinite(value):
@@ -263,7 +267,10 @@ def _positive_float(raw: str) -> float:
 
 
 def _positive_int(raw: str) -> int:
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {raw}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {raw}")
     return value
@@ -272,15 +279,12 @@ def _positive_int(raw: str) -> int:
 def _cube_args(n: str, radius: str, samples: str) -> tuple[int, float, int]:
     """``gen --cube N R SAMPLES`` as numbers; ValueError names a bad argument."""
     checked = []
-    for name, text, check, kind in (("N", n, _positive_int, "an integer"),
-                                    ("R", radius, _positive_float, "a number"),
-                                    ("SAMPLES", samples, _positive_int, "an integer")):
+    for name, text, check in (("N", n, _positive_int), ("R", radius, _positive_float),
+                              ("SAMPLES", samples, _positive_int)):
         try:
             checked.append(check(text))
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"{name} {exc}") from None
-        except ValueError:
-            raise ValueError(f"{name} must be {kind}, got {text}") from None
     return tuple(checked)
 
 

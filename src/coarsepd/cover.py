@@ -143,18 +143,20 @@ def diagram_point_sampler(max_persistence: float = 1e4) -> tuple[Sampler, Pertur
     sample reads one double, and is DELTA with probability DELTA_PROB, or
     reads three and draws q = uniform(0, max_persistence), u = uniform(q,
     q + max_persistence).  The perturber reads two doubles to move a point
-    in the (u, q) coordinates, or samples afresh in place of DELTA; drops
+    in the (u, q) coordinates, or none for DELTA, which stays NaN; drops
     through the diagonal become DELTA.  Raises ValueError when the largest
     coordinate sum, below ``4 * (max_persistence + scale)``, is not finite.
     """
     top = max_persistence
     _check_finite(4.0 * top, "sampling")
 
+    def is_delta(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        return (first < DELTA_PROB) | ((top - 0.0) * second <= 0.0)
+
     def sample(u: np.ndarray, at: np.ndarray) -> np.ndarray:
         q = 0.0 + (top - 0.0) * u[at + 1]
         mid = q + ((q + top) - q) * u[at + 2]
-        delta = (u[at] < DELTA_PROB) | (q <= 0.0)
-        return np.where(delta, np.nan, np.stack([mid - q, mid + q]))
+        return np.where(is_delta(u[at], u[at + 1]), np.nan, np.stack([mid - q, mid + q]))
 
     def perturb(u: np.ndarray, at: np.ndarray, p: np.ndarray, scale: float) -> np.ndarray:
         _check_finite(4.0 * (top + scale), "perturbation")
@@ -162,15 +164,11 @@ def diagram_point_sampler(max_persistence: float = 1e4) -> tuple[Sampler, Pertur
         q = (death - birth) / 2.0 + (-scale + (scale - -scale) * u[at])
         mid = (birth + death) / 2.0 + (-scale + (scale - -scale) * u[at + 1])
         mid = np.maximum(mid, q)
-        points = np.where(q <= 0.0, np.nan, np.stack([mid - q, mid + q]))
-        was_delta = np.flatnonzero(np.isnan(birth))
-        points[:, was_delta] = sample(u, at[was_delta])
-        return points
+        return np.where(q <= 0.0, np.nan, np.stack([mid - q, mid + q]))
 
     def reads(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-        early = u[:n] < DELTA_PROB
-        delta = early | ((top - 0.0) * u[1:n + 1] <= 0.0)
-        return np.where(early, 1, 3), np.where(delta, 0, 2)
+        first = u[:n]
+        return np.where(first < DELTA_PROB, 1, 3), np.where(is_delta(first, u[1:n + 1]), 0, 2)
 
     return sample, perturb, reads
 
@@ -204,7 +202,7 @@ def verify_cover(sampler: tuple[Sampler, Perturber, Reads],
       ``perturb(u, at, x, scale)`` moves the points ``x`` within ``scale``,
       and ``reads(u, n)`` counts from comparisons of ``u`` alone the doubles
       that a sample at each offset below ``n`` reads (at most three) and
-      that a perturbation of it reads (0: it samples afresh at its offset).
+      that a perturbation of it reads (0: the trial samples afresh instead).
     - ``classify(points, R)`` returns one label column per point: the
       family, then the set within the family (``interval_classify_array``,
       ``brick_classify_array``).
@@ -213,10 +211,10 @@ def verify_cover(sampler: tuple[Sampler, Perturber, Reads],
 
     Trials read the doubles of ``np.random.default_rng(seed)`` in order:
     a sample, a coin, then a perturbation when the coin is below 0.5 and
-    a second sample otherwise.  The read counts place each trial before any
-    point is drawn.  The first MAX_RECORDED_VIOLATIONS violations are listed
-    in trial order, with points as Python floats, (birth, death) tuples and
-    DELTA.  Raises ValueError unless ``trials`` is an integer >= 1 and
+    ``reads`` counts doubles for it, and a second sample otherwise.  The
+    first MAX_RECORDED_VIOLATIONS violations are listed in trial order,
+    with points as Python floats, (birth, death) tuples and DELTA.
+    Raises ValueError unless ``trials`` is an integer >= 1 and
     ``3 * uniform_bound`` is positive and finite.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
@@ -242,9 +240,8 @@ def verify_cover(sampler: tuple[Sampler, Perturber, Reads],
         drawn, moved = reads(u, u.size - _MAX_DRAWS + 1)
         count = u.size - _TRIAL_DRAWS + 1
         nxt = np.arange(count) + drawn[:count]
-        coin = u[nxt] < 0.5
+        moved = np.where(u[nxt] < 0.5, moved[:count], 0)
         nxt += 1
-        moved = np.where(coin, moved[:count], 0)
         # The trial at offset s reads steps[s] doubles; steps are small
         # ints, which Python caches, so the list and the walk are cheap.
         steps = (drawn[:count] + 1 + np.where(moved > 0, moved, drawn[nxt])).tolist()
@@ -255,10 +252,10 @@ def verify_cover(sampler: tuple[Sampler, Perturber, Reads],
             s += steps[s]
 
         starts = np.array(starts, dtype=np.intp)
-        nxt, coin = nxt[starts], coin[starts]
+        nxt = nxt[starts]
         points = sample(u, np.concatenate([starts, nxt]))
         x = points[..., :block]
-        y = np.where(coin, perturb(u, nxt, x, scale), points[..., block:])
+        y = np.where(moved[starts] > 0, perturb(u, nxt, x, scale), points[..., block:])
         u = u[s:]
         labels = classify(np.concatenate([x, y], axis=-1), R)
         lx, ly = labels[:, :block], labels[:, block:]

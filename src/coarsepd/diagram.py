@@ -82,12 +82,10 @@ class Matching:
 
 
 def _check_exponent(p: float) -> float:
-    """p as a float, or InvalidExponent unless it is a number, not a bool, with 1 <= p < inf."""
+    """p as a float, or InvalidExponent unless it is a real number (not a bool) with 1 <= p < inf."""
     try:
-        if isinstance(p, bool):  # as for coordinates: True is not the number 1
-            raise TypeError
-        p = float(p)
-    except (TypeError, ValueError, OverflowError):
+        p = _coordinate(p)
+    except (TypeError, OverflowError):
         raise InvalidExponent(f"p must be a number, got {p!r}") from None
     if not 1.0 <= p < math.inf:
         raise InvalidExponent(f"p must be finite and >= 1, got {p}")

@@ -186,17 +186,13 @@ def wasserstein_distance(z: Diagram, w: Diagram, p: float) -> float:
 def bottleneck_1pt_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bottleneck distance between paired singleton diagrams.
 
-    ``a`` and ``b`` are (births, deaths) arrays whose NaN columns are DELTA,
-    the empty diagram.  The two candidate matchings are the direct pairing
-    and the double diagonal route, hence min(sup distance, max persistence)
-    for two points, and the persistence of the point against DELTA.
+    ``a`` and ``b`` are (births, deaths) arrays whose NaN columns are DELTA;
+    other points have positive persistence.  The direct and the diagonal
+    route give min(sup, max(persistences, 0)), with the NaNs of DELTA skipped.
     """
-    a_delta, b_delta = np.isnan(a[0]), np.isnan(b[0])
-    pa = np.where(a_delta, 0.0, (a[1] - a[0]) / 2.0)
-    pb = np.where(b_delta, 0.0, (b[1] - b[0]) / 2.0)
+    pa, pb = (a[1] - a[0]) / 2.0, (b[1] - b[0]) / 2.0
     sup = np.maximum(np.abs(a[0] - b[0]), np.abs(a[1] - b[1]))
-    direct = np.minimum(sup, np.maximum(pa, pb))
-    return np.where(a_delta, pb, np.where(b_delta, pa, direct))
+    return np.fmin(sup, np.fmax(np.fmax(pa, pb), 0.0))
 
 
 def rounding_slack(x: float) -> float:
@@ -289,8 +285,12 @@ def distance_matrix(diagrams: Sequence[Diagram], p: Optional[float] = None) -> n
 def describe_matching(z: Diagram, w: Diagram, matching: Matching) -> list[tuple[Optional[int], Optional[int]]]:
     """Matching as (left index, right index) pairs with None marking DELTA.
 
-    Pairs matching DELTA to DELTA are pruned.
+    Pairs matching DELTA to DELTA are pruned.  Raises ValueError unless the
+    matching has the n + m slots of z and w.
     """
     n, m = len(z), len(w)
+    if len(matching.pairing) != n + m:
+        raise ValueError(f"matching has {len(matching.pairing)} slots, diagrams of "
+                         f"{n} and {m} points need {n + m}")
     return [(i if i < n else None, j if j < m else None)
             for i, j in enumerate(matching.pairing) if i < n or j < m]

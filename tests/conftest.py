@@ -77,6 +77,16 @@ def padded_cost(z, w, width):
     return np.array([[delta(a, b) for b in right] for a in left]).reshape(width, width)
 
 
+def describe_padded(z, w, pairing):
+    """``describe_matching``'s pairs for a permutation of any width >= n + m.
+
+    As in ``padded_cost``, the slots past each side's points are DELTA.
+    """
+    n, m = len(z), len(w)
+    return [(i if i < n else None, j if j < m else None)
+            for i, j in enumerate(pairing) if i < n or j < m]
+
+
 def exact_wasserstein_power(z, w, p):
     """Exact minimum of the sum of cost ** p over the permutations of n + m slots.
 

@@ -420,6 +420,20 @@ class TestCover:
                                 text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
         assert int(result.stdout) < 50, result.stderr
 
+    def test_golden_digest(self, capsys):
+        # 20 seeded d1 covers of 1,000 trials, a d1 cover at scale 0.37 over a
+        # window of 30 and a line cover; the sha256 of every exit code and stdout
+        runs = [["--space", "d1", "--scale", "1", "--trials", "1000", "--seed", str(seed)]
+                for seed in range(20)]
+        runs += [["--space", "d1", "--scale", "0.37", "--window", "30", "--trials", "50000"],
+                 ["--space", "line", "--scale", "5", "--trials", "20000"]]
+        transcript = []
+        for args in runs:
+            code = main(["cover", *args])
+            transcript.append(f"{code}\n{capsys.readouterr().out}")
+        digest = hashlib.sha256("".join(transcript).encode())
+        assert digest.hexdigest() == "af38069b96424a6a05725db502661871991cf10c7656b8c0e85259567641fdfd"
+
 
 class TestGen:
     def test_zkm(self, tmp_path, capsys):
@@ -764,6 +778,25 @@ def test_invalid_point_names_its_file(tmp_path, capsys, points, message):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cover", "--space", "d1", "--scale", "abc"], "argument --scale: must be a number, got abc"),
+    (["cover", "--space", "d1", "--scale", "1", "--trials", "x"],
+     "argument --trials: must be an integer, got x"),
+    (["cover", "--space", "d1", "--scale", "1", "--window", "1,5"],
+     "argument --window: must be a number, got 1,5"),
+    (["gen", "--zkm", "a", "2"], "argument --zkm: must be an integer, got a"),
+    (["profile", "a.csv", "b.csv", "--bins", "x"], "argument --bins: must be an integer, got x"),
+    (["profile", "a.csv", "b.csv", "--bins", "2.5"],
+     "argument --bins: must be an integer, got 2.5"),
+])
+def test_numeric_option_says_what_it_expects(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.endswith(f"error: {message}\n") and "_positive" not in err
 
 
 def test_reply_is_one_write(tmp_path, monkeypatch):

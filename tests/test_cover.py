@@ -199,6 +199,31 @@ class TestStreamEquivalence:
         for block, n_sampled, n_perturbed in zip(blocks, sampled, perturbed):
             assert n_sampled <= 2 * block and n_perturbed <= block
 
+    def test_perturber_need_not_redraw_delta(self):
+        # `reads` gives a DELTA point's perturbation no doubles, so the verifier
+        # itself samples afresh there: a perturber that leaves DELTA as NaN
+        # gives the same report and hands `metric` the same points.
+        sample, perturb, reads = diagram_point_sampler(100.0)
+
+        def delta_stays_nan(u, at, x, scale):
+            return np.where(np.isnan(x[0]), np.nan, perturb(u, at, x, scale))
+
+        runs = []
+        for moves in (perturb, delta_stays_nan):
+            pairs = []
+
+            def metric(x, y):
+                pairs.append(np.concatenate([x, y]))
+                return bottleneck_1pt_array(x, y)
+
+            report = verify_cover((sample, moves, reads), brick_classify_array, metric,
+                                  1.0, 2 * _BLOCK_TRIALS + 3, 3, 6.0)
+            runs.append((repr(report), np.concatenate(pairs, axis=1)))
+        (report, pairs), (other_report, other_pairs) = runs
+        assert report == other_report
+        assert np.isnan(pairs[0]).any()
+        assert np.array_equal(pairs, other_pairs, equal_nan=True)
+
 
 def grid_point(L, i, j, dq, du):
     q = L * (1 + j) + dq * L

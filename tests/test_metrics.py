@@ -38,6 +38,7 @@ from coarsepd.assignment import lex_min_perfect_matching, perfect_matching
 from coarsepd.metrics import _cost, _tight_edges, rounding_slack
 from coarsepd.oracle import cost_matrix, min_assignment_max, min_assignment_sum
 from conftest import (
+    describe_padded,
     exact_wasserstein_power,
     float_sets,
     grid_sets,
@@ -137,8 +138,9 @@ class TestWasserstein:
             with pytest.raises(InvalidExponent):
                 solver(z, w, math.inf)
 
-    @pytest.mark.parametrize("p", [10 ** 400, "x", None, True, False],
-                             ids=["int_1e400", "string", "none", "true", "false"])
+    @pytest.mark.parametrize("p", [10 ** 400, "x", None, True, False, "2", np.True_],
+                             ids=["int_1e400", "string", "none", "true", "false",
+                                  "numeric_string", "numpy_true"])
     def test_exponent_that_is_not_a_number(self, p):
         z, w = d((0, 4), (1, 3)), d((3, 6))
         for solver in (wasserstein, wasserstein_bruteforce, wasserstein_distance):
@@ -202,7 +204,7 @@ class TestOracleEquivalence:
             reference, phi = min_assignment_max(padded_cost(z, w, 14))
             value, m = bottleneck(z, w)
             assert value == reference
-            assert describe_matching(z, w, m) == describe_matching(z, w, Matching(phi))
+            assert describe_matching(z, w, m) == describe_padded(z, w, phi)
 
     def test_tight_edge_pairing_above_width_12(self, rng):
         # small integers keep every sum exact, so optimal means exactly optimal
@@ -310,6 +312,13 @@ class TestMatchingOutput:
         pairs = describe_matching(z, w, matching)
         assert (0, None) in pairs and (None, 0) in pairs
         assert all(a is not None or b is not None for a, b in pairs)
+
+    @pytest.mark.parametrize("pairing", [(0, 1, 2, 3), (0, 1), ()])
+    def test_describe_rejects_other_widths(self, pairing):
+        z, w = d((0, 4), (1, 5)), d((3, 6))
+        message = f"^matching has {len(pairing)} slots, diagrams of 2 and 1 points need 3$"
+        with pytest.raises(ValueError, match=message):
+            describe_matching(z, w, Matching(pairing))
 
     @pytest.mark.parametrize("pairing", [(0, 0), (1,), (0, 2)])
     def test_non_permutation_rejected(self, pairing):
@@ -662,7 +671,7 @@ class TestNarrowBottleneck:
         value, matching = wide_bottleneck(z, w)
         solved, narrow = bottleneck(z, w)
         assert solved == value and bottleneck_distance(z, w) == value
-        assert describe_matching(z, w, narrow) == describe_matching(z, w, matching)
+        assert describe_matching(z, w, narrow) == describe_padded(z, w, matching.pairing)
 
     @pytest.mark.parametrize("z,w", [(d((0, 2)), d((1, 3), (2, 6), (4, 5))),
                                      (Diagram(), d((1, 3), (2, 6))), AT_LARGEST_COST])

@@ -1,5 +1,7 @@
 """Envelope profiling and isometry deviation checks."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +107,18 @@ class TestProfileMap:
         X = random_connected_metric(rng, 4)
         with pytest.raises(ValueError, match="^bins must be positive$"):
             profile_map(X, X.dist, bins)
+
+    @pytest.mark.parametrize("bins", [True, 2.5, 3.0, np.float64(4.0)])
+    def test_bins_must_be_an_integer(self, rng, bins):
+        X = random_connected_metric(rng, 4)
+        message = f"^bins must be an integer, got {re.escape(repr(bins))}$"
+        with pytest.raises(ValueError, match=message):
+            profile_map(X, X.dist, bins)
+
+    def test_numpy_integer_bins_accepted(self, rng):
+        X = random_connected_metric(rng, 4)
+        prof = profile_map(X, X.dist, np.int64(5))
+        assert prof.bin_edges.tolist() == profile_map(X, X.dist, 5).bin_edges.tolist()
 
     def test_too_many_bins_rejected(self, rng, monkeypatch):
         monkeypatch.setenv("COARSE_PD_MAX_POINTS", "4096")
