@@ -32,8 +32,9 @@ def perfect_matching(ok: np.ndarray) -> Optional[np.ndarray]:
 
 def _bit_rows(ok: np.ndarray) -> list[int]:
     """Each row of ok as an int whose bit c is ok[r, c]."""
-    packed = np.packbits(ok, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+    width = (ok.shape[1] + 7) // 8
+    packed = np.packbits(ok, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[r * width:(r + 1) * width], "little") for r in range(len(ok))]
 
 
 def lex_min_perfect_matching(ok: np.ndarray, col: Sequence[int]) -> tuple[int, ...]:
@@ -46,17 +47,18 @@ def lex_min_perfect_matching(ok: np.ndarray, col: Sequence[int]) -> tuple[int, .
     breadth-first search from that column finds them, and the row takes the
     smallest one it has an edge to.  The search is skipped when row i has
     no edge to an unfixed column below its current one, and stops once the
-    smallest such column is reached.
+    smallest such column is reached; the columns' bit sets are packed only
+    when a first search is needed.
     """
     n = ok.shape[0]
     col = np.asarray(col, dtype=np.intp)
-    if (col.shape != (n,) or col.min(initial=0) < 0
-            or (np.bincount(col, minlength=n) != 1).any() or not ok[np.arange(n), col].all()):
+    index = np.arange(n)
+    if col.shape != (n,) or not np.array_equal(np.sort(col), index) or not ok[index, col].all():
         raise ValueError("col is not a perfect matching of ok")
     col = col.tolist()
     # Sets of rows or columns are ints used as bit sets; fixed holds the
     # columns of the rows before i.
-    row_edges, col_edges = _bit_rows(ok), _bit_rows(ok.T)
+    row_edges, col_edges = _bit_rows(ok), None
     # Rows with the same edges can trade columns, so each group of them
     # starts with its columns in increasing order.
     groups = {}
@@ -65,14 +67,14 @@ def lex_min_perfect_matching(ok: np.ndarray, col: Sequence[int]) -> tuple[int, .
     for rows in groups.values():
         for r, c in zip(rows, sorted(col[r] for r in rows)):
             col[r] = c
-    row = [0] * n
-    for r, c in enumerate(col):
-        row[c] = r
+    row = sorted(range(n), key=col.__getitem__)  # the row holding each column
     fixed = 0
     for i in range(n):
         start = col[i]
         below = row_edges[i] & ((1 << start) - 1) & ~fixed
         if below:
+            if col_edges is None:
+                col_edges = _bit_rows(ok.T)
             # parent[c]: a column the holder of c can move to, one step
             # closer to start; open rows are the unfixed ones not yet reached.
             first = below & -below

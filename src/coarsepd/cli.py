@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from .cover import (
     line_sampler,
     verify_cover,
 )
-from .diagram import Diagram
 from .embeddings import _check_cap, check_isometry, dranishnikov_S, embed_coarse_union, \
     embed_cube_point, embed_finite_metric, isometry_tolerance, sup_distances, zkm_space
 from .errors import (
@@ -55,13 +55,30 @@ EXIT_TOO_LARGE = 5
 EXIT_DEVIATION = 6
 
 
-def _sig12(value: float) -> str:
-    """Render with 12 significant digits, keeping trailing zeros."""
-    return f"{value:#.12g}"
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for str keys, byte for byte; ``indent`` closes value.
+
+    json encodes in pure Python whenever indent is set, so only the rare leaves go to it:
+    NaN, +-inf, bools, None and empty containers; it rejects the rest.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
+    return json.dumps(value)
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")  # json.dump writes token by token
+    """Write ``json.dumps(payload, indent=2)`` and a newline in one write, by ``_json``."""
+    sys.stdout.write(_json(payload) + "\n")
 
 
 def _save_diagrams(diagrams, out_dir: Path, stem: str) -> list[str]:
@@ -71,11 +88,6 @@ def _save_diagrams(diagrams, out_dir: Path, stem: str) -> list[str]:
         io.save_diagram(dgm, path)
         files.append(str(path))
     return files
-
-
-def _matching_json(z: Diagram, w: Diagram, matching) -> list[dict]:
-    return [{"left": "Delta" if li is None else li, "right": "Delta" if rj is None else rj}
-            for li, rj in describe_matching(z, w, matching)]
 
 
 def _cmd_dist(args) -> int:
@@ -90,11 +102,12 @@ def _cmd_dist(args) -> int:
         value, matching = solver(z, w)
         metric = {"metric": "bottleneck"}
     _emit({
-        "distance": _sig12(value),
+        "distance": f"{value:#.12g}",  # 12 significant digits, trailing zeros kept
         "distance_value": value,
         **metric,
         "oracle": bool(args.oracle),
-        "matching": _matching_json(z, w, matching),
+        "matching": [{"left": "Delta" if i is None else i, "right": "Delta" if j is None else j}
+                     for i, j in describe_matching(z, w, matching)],
     })
     return EXIT_OK
 

@@ -107,13 +107,14 @@ def bottleneck_distance(z: Diagram, w: Diagram) -> float:
     return _bottleneck_value(*_point_block(z, w))
 
 
-def _tight_edges(cost: np.ndarray, sigma: np.ndarray, optimum: float) -> np.ndarray:
+def _tight_edges(cost: np.ndarray, sigma: np.ndarray, optimum: float, points: int) -> np.ndarray:
     """Edges of zero reduced cost under optimal duals of the assignment sigma.
 
     Row potentials u are shortest-path distances in the residual graph,
-    where u[i] <= u[k] + cost[i, sigma[k]] - cost[k, sigma[k]]; column
-    potentials then make sigma's edges exactly tight.  Reduced costs within
-    tol = 1e-12 * optimum count as zero: the potentials of near-optimal
+    where u[i] <= u[k] + cost[i, sigma[k]] - cost[k, sigma[k]]; the DELTA rows, from
+    ``points`` on, are identical, get identical float operations and so are relaxed
+    as one.  Column potentials then make sigma's edges exactly tight.  Reduced costs
+    within tol = 1e-12 * optimum count as zero: the potentials of near-optimal
     edges are on the optimum's scale, which large exponents push far below
     1, so the tolerance is relative.  Bellman-Ford stops once no potential
     falls by more than tol / n (rounding alone can keep zero-cost cycles
@@ -125,13 +126,14 @@ def _tight_edges(cost: np.ndarray, sigma: np.ndarray, optimum: float) -> np.ndar
     n = cost.shape[0]
     tol = 1e-12 * optimum
     held = cost[np.arange(n), sigma]
-    step = cost[:, sigma] - held[None, :]
+    distinct = min(points + 1, n)
+    step = cost[:distinct, sigma] - held[None, :]
     u = np.zeros(n)
     for _ in range(n):
         relaxed = (u[None, :] + step).min(axis=1)
-        if (u - relaxed).max() <= tol / n:
+        if (u[:distinct] - relaxed).max() <= tol / n:
             break
-        u = relaxed
+        u[:distinct], u[distinct:] = relaxed, relaxed[-1]
     v = np.empty(n)
     v[sigma] = held - u
     return cost - u[:, None] - v[None, :] <= tol
@@ -159,7 +161,7 @@ def _wasserstein_solve(z: Diagram, w: Diagram, p: float,
     value = top * optimum ** (1.0 / p)
     if not pairing:
         return value, None
-    phi = lex_min_perfect_matching(_tight_edges(powered, cols, optimum), cols)
+    phi = lex_min_perfect_matching(_tight_edges(powered, cols, optimum, len(z)), cols)
     return value, tuple(np.argsort(phi).tolist()) if swapped else phi
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,14 @@ def profile_map(X: FiniteMetricSpace, image_dist, bins: int = 64) -> CoarseProfi
     ("non_finite", i, j) witnesses in row-major order.  The bin width is
     (max source distance) / bins, or 1.0 when that quotient is 0.  A bin
     count above COARSE_PD_MAX_POINTS raises TooLarge before any bin is
-    allocated; one that is not a positive integer (a bool included) raises
-    ValueError.
+    allocated; one that is not a positive integer (a bool or a str included)
+    raises ValueError.
     """
+    if isinstance(bins, bool) or not isinstance(bins, numbers.Real):
+        raise ValueError(f"bins must be an integer, got {bins!r}")
     if bins <= 0:
         raise ValueError("bins must be positive")
-    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)):
+    if not isinstance(bins, (int, np.integer)):
         raise ValueError(f"bins must be an integer, got {bins!r}")
     n = X.n_points
     if n < 2:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coarsepd.assignment import lex_min_perfect_matching, perfect_matching
+from coarsepd import assignment
+from coarsepd.assignment import _bit_rows, lex_min_perfect_matching, perfect_matching
 from coarsepd.oracle import min_assignment_max, min_assignment_sum
 
 
@@ -118,6 +119,28 @@ class TestMatchingHelpers:
         if value == 0.0:
             assert lex_min_perfect_matching(ok, col) == perm
             assert lex_min_perfect_matching(ok, perm) == perm
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 8), (3, 17)])
+    def test_bit_rows(self, shape):
+        ok = np.random.default_rng(sum(shape)).random(shape) < 0.5
+        for edges in (ok, ok.T):
+            assert _bit_rows(edges) == [sum(1 << c for c in np.flatnonzero(row).tolist())
+                                        for row in edges]
+
+    def test_column_sets_only_for_a_search(self, monkeypatch):
+        packed = []
+        monkeypatch.setattr(assignment, "_bit_rows",
+                            lambda ok, pack=_bit_rows: packed.append(ok.tolist()) or pack(ok))
+        # from the identity, no row has an edge below its column: no search
+        ok = np.triu(np.random.default_rng(5).random((40, 40)) < 0.5)
+        ok[np.arange(40), np.arange(40)] = True
+        assert lex_min_perfect_matching(ok, range(40)) == tuple(range(40))
+        assert packed == [ok.tolist()]
+        # row 0 takes column 0 by a search from column 1, which packs ok.T once
+        del packed[:]
+        ok = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=bool)
+        assert lex_min_perfect_matching(ok, (1, 2, 0)) == (0, 1, 2)
+        assert packed == [ok.tolist(), ok.T.tolist()]
 
     def test_long_alternating_path(self):
         # the only perfect matching shifts every row by one column; reaching

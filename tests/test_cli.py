@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarsepd import (
     Diagram,
@@ -812,6 +814,29 @@ def test_reply_is_one_write(tmp_path, monkeypatch):
     assert main(["dist", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
     assert len(writes) == 1 and writes[0].endswith("}\n")
     assert json.loads(writes[0])["distance_value"] == 2.0
+
+
+# Strings with quotes, backslashes, control and non-ASCII characters; ints past 2**64;
+# floats with -0.0, subnormals, NaN and +-inf; bools, None and numpy float leaves.
+JSON_LEAVES = st.one_of(
+    st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80 a\u00e9\u2028\ud800\U0001d11e')),
+    st.text(),
+    st.integers(),
+    st.integers(2**64 - 1, 2**80) | st.integers(-(2**80), -(2**64)),
+    st.floats() | st.sampled_from([-0.0, 5e-324, -2.2e-308, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+    st.booleans(),
+    st.none(),
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES, lambda values: st.lists(values) | st.dictionaries(st.text(), values),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_PAYLOADS)
+def test_reply_encoder_equals_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize("name,body,message", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())

@@ -212,7 +212,7 @@ class TestOracleEquivalence:
             cost = rng.integers(0, 10, size=(width, width)).astype(float)
             rows, cols = linear_sum_assignment(cost)
             optimum = float(cost[rows, cols].sum())
-            phi = lex_min_perfect_matching(_tight_edges(cost, cols, optimum), cols)
+            phi = lex_min_perfect_matching(_tight_edges(cost, cols, optimum, width), cols)
             assert (optimum, phi) == min_assignment_sum(cost)
 
 
@@ -691,6 +691,44 @@ class TestNarrowBottleneck:
         wasserstein(z, w, 2)
         wasserstein_distance(w, z, 1)
         assert solves == [width, width]
+
+
+def all_rows_tight_edges(cost, sigma, optimum):
+    """Reference ``_tight_edges``: Bellman-Ford relaxes every one of the n + m rows."""
+    n = cost.shape[0]
+    tol = 1e-12 * optimum
+    held = cost[np.arange(n), sigma]
+    step = cost[:, sigma] - held[None, :]
+    u = np.zeros(n)
+    for _ in range(n):
+        relaxed = (u[None, :] + step).min(axis=1)
+        if (u - relaxed).max() <= tol / n:
+            break
+        u = relaxed
+    v = np.empty(n)
+    v[sigma] = held - u
+    return cost - u[:, None] - v[None, :] <= tol
+
+
+class TestTightEdges:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(integer_diagrams(6), diagrams(6)), st.one_of(integer_diagrams(6), diagrams(6)),
+           st.sampled_from([1, 2, 3.5]))
+    @example(Diagram(), Diagram(), 2)
+    @example(Diagram(), d((0, 2), (0, 2), (1, 4)), 1)
+    @example(d((0, 2), (0, 2), (1, 4)), Diagram(), 3.5)
+    @example(d((0, 2), (0, 2)), d((0, 2), (1, 3), (1, 3)), 2)
+    @example(*WIDE, 3.5)
+    @example(random_diagram(np.random.default_rng(40), size=40),
+             random_diagram(np.random.default_rng(30), size=30), 2)
+    def test_distinct_rows_equal_all_rows(self, z, w, p):
+        # the cost-power matrix and assignment of _wasserstein_solve
+        cost = _cost(z, w)
+        powered = (cost / cost.max(initial=0.0)) ** p
+        rows, cols = linear_sum_assignment(powered)
+        optimum = float(powered[rows, cols].sum())
+        tight = _tight_edges(powered, cols, optimum, len(z))
+        assert np.array_equal(tight, all_rows_tight_edges(powered, cols, optimum))
 
 
 def test_512_point_pair():

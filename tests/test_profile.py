@@ -108,7 +108,7 @@ class TestProfileMap:
         with pytest.raises(ValueError, match="^bins must be positive$"):
             profile_map(X, X.dist, bins)
 
-    @pytest.mark.parametrize("bins", [True, 2.5, 3.0, np.float64(4.0)])
+    @pytest.mark.parametrize("bins", [True, 2.5, 3.0, np.float64(4.0), "8", None])
     def test_bins_must_be_an_integer(self, rng, bins):
         X = random_connected_metric(rng, 4)
         message = f"^bins must be an integer, got {re.escape(repr(bins))}$"
