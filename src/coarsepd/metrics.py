@@ -188,13 +188,15 @@ def wasserstein_distance(z: Diagram, w: Diagram, p: float) -> float:
 def bottleneck_1pt_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bottleneck distance between paired singleton diagrams.
 
-    ``a`` and ``b`` are (births, deaths) arrays whose NaN columns are DELTA;
-    other points have positive persistence.  The direct and the diagonal
-    route give min(sup, max(persistences, 0)), with the NaNs of DELTA skipped.
+    ``a`` and ``b`` are (births, deaths) arrays whose NaN columns are DELTA.
+    The direct and the diagonal route give min(sup, max(persistences)), with
+    the NaNs of DELTA skipped; DELTA against DELTA is the only NaN left, and is 0.
     """
     pa, pb = (a[1] - a[0]) / 2.0, (b[1] - b[0]) / 2.0
     sup = np.maximum(np.abs(a[0] - b[0]), np.abs(a[1] - b[1]))
-    return np.fmin(sup, np.fmax(np.fmax(pa, pb), 0.0))
+    d = np.fmin(sup, np.fmax(pa, pb))
+    d[np.isnan(d)] = 0.0
+    return d
 
 
 def rounding_slack(x: float) -> float:
