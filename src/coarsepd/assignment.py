@@ -2,8 +2,8 @@
 
 scipy's ``linear_sum_assignment`` on the 0/1 cost ``~ok`` finds a matching
 that covers every row of a boolean edge matrix when there is one; the
-lex-min recovery improves a given perfect matching one row at a time along
-alternating paths.
+lex-min recovery improves a given matching of two diagrams' point block one
+row at a time along alternating paths.
 """
 
 from __future__ import annotations
@@ -38,49 +38,43 @@ def _bit_rows(ok: np.ndarray) -> list[int]:
 
 
 def lex_min_perfect_matching(ok: np.ndarray, col: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically smallest permutation that is a perfect matching of ok.
+    """Lex-min perfect matching of the n + m slots, found on the point block.
 
-    Starts from col, the column of each row in any perfect matching of ok
-    (ValueError if it is not one), and fixes rows in order.  Row i can
-    take exactly the columns whose holders can shift, along an alternating
-    path over the unfixed rows, into row i's current column; one
-    breadth-first search from that column finds them, and the row takes the
-    smallest one it has an edge to.  The search is skipped when row i has
-    no edge to an unfixed column below its current one, and stops once the
-    smallest such column is reached; the columns' bit sets are packed only
-    when a first search is needed.
+    ok is (n + 1) x (m + 1): the point block, the points of z that may take DELTA, those
+    of w that may, and whether DELTA may meet DELTA; the slots repeat that DELTA column n
+    times and that row m times after the points.  col holds the column of each point of z,
+    m for DELTA, in a matching that completes (ValueError otherwise).  Row i in turn takes
+    the smallest column below its own whose holder can shift, along an alternating path
+    over the later rows and the DELTA row, into row i's column; one search finds them.
     """
-    n = ok.shape[0]
+    n, m = ok.shape[0] - 1, ok.shape[1] - 1
     col = np.asarray(col, dtype=np.intp)
-    index = np.arange(n)
-    if col.shape != (n,) or not np.array_equal(np.sort(col), index) or not ok[index, col].all():
+    if col.shape != (n,):
         raise ValueError("col is not a perfect matching of ok")
     col = col.tolist()
-    # Sets of rows or columns are ints used as bit sets; fixed holds the
-    # columns of the rows before i.
-    row_edges, col_edges = _bit_rows(ok), None
-    # Rows with the same edges can trade columns, so each group of them
-    # starts with its columns in increasing order.
-    groups = {}
-    for r, edges in enumerate(row_edges):
-        groups.setdefault(edges, []).append(r)
-    for rows in groups.values():
-        for r, c in zip(rows, sorted(col[r] for r in rows)):
-            col[r] = c
-    row = sorted(range(n), key=col.__getitem__)  # the row holding each column
-    fixed = 0
+    # Bit sets of rows or columns are ints, with bit n the DELTA row and bit m the DELTA column:
+    # spare holds the DELTA row's point columns, on_delta the points of z on DELTA, and fixed
+    # the columns of the rows before i.  row[c] holds point column c.
+    row_edges, col_edges, row, fixed = _bit_rows(ok), None, [n] * m, 0
+    full = spare = (1 << m) - 1
+    for r, c in enumerate(col):
+        if not 0 <= c <= m or not row_edges[r] >> c & 1 or c < m and row[c] < n:
+            raise ValueError("col is not a perfect matching of ok")
+        if c < m:
+            row[c], spare = r, spare ^ 1 << c
+    # The DELTA row takes the spare point columns, and DELTA columns while z holds points.
+    if spare & ~row_edges[n] or spare != full and not row_edges[n] >> m & 1:
+        raise ValueError("col is not a perfect matching of ok")
+    on_delta = sum(1 << r for r, c in enumerate(col) if c == m)
     for i in range(n):
         start = col[i]
         below = row_edges[i] & ((1 << start) - 1) & ~fixed
         if below:
-            if col_edges is None:
-                col_edges = _bit_rows(ok.T)
-            # parent[c]: a column the holder of c can move to, one step
-            # closer to start; open rows are the unfixed ones not yet reached.
-            first = below & -below
-            parent = {start: start}
-            seen = 1 << start
-            open_rows = (1 << n) - (1 << (i + 1))
+            col_edges = col_edges or _bit_rows(ok.T)
+            # parent[c]: a column the holder of c can move to, one step closer to start; open rows
+            # are unfixed and unreached.  DELTA's first holder reached moves; the others close.
+            first, parent, delta_holder, seen = below & -below, {start: start}, i, 1 << start
+            open_rows = ((1 << (n + 1)) - (1 << (i + 1))) & ~(on_delta if start == m else 0)
             queue = [start]
             for c in queue:
                 if seen & first:
@@ -90,17 +84,32 @@ def lex_min_perfect_matching(ok: np.ndarray, col: Sequence[int]) -> tuple[int, .
                 while hit:
                     r = (hit & -hit).bit_length() - 1
                     hit &= hit - 1
-                    parent[col[r]] = c
-                    seen |= 1 << col[r]
-                    queue.append(col[r])
+                    moved = (1 << col[r] if r < n else spare | (spare != full) << m) & ~seen
+                    if moved >> m:
+                        delta_holder = r
+                        open_rows &= ~on_delta
+                        hit &= ~on_delta
+                    seen |= moved
+                    while moved:
+                        x = (moved & -moved).bit_length() - 1
+                        moved &= moved - 1
+                        parent[x] = c
+                        queue.append(x)
             reached = below & seen
             if reached:
                 c, r = (reached & -reached).bit_length() - 1, i
                 while True:
-                    holder = row[c]
-                    col[r], row[c] = c, r
+                    holder = row[c] if c < m else delta_holder
+                    if r < n:
+                        col[r] = c
+                        on_delta = on_delta | 1 << r if c == m else on_delta & ~(1 << r)
+                    if c < m:
+                        row[c], spare = r, spare ^ ((r == n) != (holder == n)) << c
                     if holder == i:
                         break
                     r, c = holder, parent[c]
         fixed |= 1 << col[i]
-    return tuple(col)
+    # z's points on DELTA take the DELTA columns in order; the DELTA rows take spare, then the rest.
+    delta = iter(range(m, m + n))
+    return tuple([c if c < m else next(delta) for c in col]
+                 + [c for c in range(m) if row[c] == n] + list(delta))

@@ -39,7 +39,6 @@ from .errors import (
 from .metrics import (
     bottleneck,
     bottleneck_1pt_array,
-    describe_matching,
     distance_matrix,
     wasserstein,
 )
@@ -91,6 +90,7 @@ def _save_diagrams(diagrams, out_dir: Path, stem: str) -> list[str]:
 
 
 def _cmd_dist(args) -> int:
+    """Write ``json.dumps(payload, indent=2)``: ``_json`` writes all but the matching."""
     z = io.load_diagram(args.left)
     w = io.load_diagram(args.right)
     if args.wasserstein is not None:
@@ -101,14 +101,18 @@ def _cmd_dist(args) -> int:
         solver = bottleneck_bruteforce if args.oracle else bottleneck
         value, matching = solver(z, w)
         metric = {"metric": "bottleneck"}
-    _emit({
+    n, m, pairing = len(z), len(w), matching.pairing
+    pair = '{\n      "left": %s,\n      "right": %s\n    }'  # as json.dumps lays one out
+    pairs = [pair % (i, j if j < m else '"Delta"') for i, j in enumerate(pairing[:n])]
+    pairs += [pair % ('"Delta"', j) for j in pairing[n:] if j < m]
+    head = _json({
         "distance": f"{value:#.12g}",  # 12 significant digits, trailing zeros kept
         "distance_value": value,
         **metric,
         "oracle": bool(args.oracle),
-        "matching": [{"left": "Delta" if i is None else i, "right": "Delta" if j is None else j}
-                     for i, j in describe_matching(z, w, matching)],
     })
+    body = "[\n    " + ",\n    ".join(pairs) + "\n  ]" if pairs else "[]"
+    sys.stdout.write(head[:-2] + ',\n  "matching": ' + body + "\n}\n")  # before head's "\n}"
     return EXIT_OK
 
 

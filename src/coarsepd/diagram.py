@@ -77,8 +77,15 @@ class Matching:
     pairing: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.pairing) != list(range(len(self.pairing))):
+        # Numpy integers become ints; bools and other numbers are refused.
+        pairing = tuple(self.pairing)
+        if not {*map(type, pairing)} <= {int}:
+            if any(isinstance(j, bool) or not isinstance(j, numbers.Integral) for j in pairing):
+                raise ValueError("pairing is not a permutation")
+            pairing = tuple(map(int, pairing))
+        if sorted(pairing) != list(range(len(pairing))):
             raise ValueError("pairing is not a permutation")
+        object.__setattr__(self, "pairing", pairing)
 
 
 def _check_exponent(p: float) -> float:

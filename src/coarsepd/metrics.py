@@ -7,10 +7,10 @@ search on the n x m point block, since only points whose persistence
 exceeds t need a partner within t; W_p is an optimal assignment on the
 cost-power matrix.  Both run on scipy's ``linear_sum_assignment``, the
 package's one matching solver.  ``bottleneck`` and ``wasserstein`` also
-return the lex-min optimal matching; ``bottleneck_distance``,
-``wasserstein_distance`` and ``distance_matrix`` return the same values
-without one, and ``distance_matrix`` certifies most d_B pairs a row at a
-time without a solver call.
+return the lex-min optimal matching, recovered on the point block with one
+DELTA slot per side; ``bottleneck_distance``, ``wasserstein_distance`` and
+``distance_matrix`` return the same values without one, and
+``distance_matrix`` certifies most d_B pairs a row at a time without a solver call.
 """
 
 from __future__ import annotations
@@ -34,19 +34,15 @@ def _point_block(z: Diagram, w: Diagram) -> tuple[np.ndarray, np.ndarray, np.nda
     return sup, (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
 
 
-def _square(sup: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Square cost matrix on n + m slots of a point block: DELTA-DELTA costs 0."""
+def _cost(z: Diagram, w: Diagram) -> np.ndarray:
+    """Square cost matrix of z and w on n + m slots; equals ``oracle.cost_matrix``."""
+    sup, pa, pb = _point_block(z, w)
     n, m = sup.shape
     out = np.zeros((n + m, n + m))
     out[:n, :m] = sup
     out[:n, m:] = pa[:, None]
     out[n:, :m] = pb
     return out
-
-
-def _cost(z: Diagram, w: Diagram) -> np.ndarray:
-    """Square cost matrix of z and w on n + m slots; equals ``oracle.cost_matrix``."""
-    return _square(*_point_block(z, w))
 
 
 def _lower_bound(sup: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -91,15 +87,25 @@ def _bottleneck_value(sup: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> float:
 
 
 def bottleneck(z: Diagram, w: Diagram) -> tuple[float, Matching]:
-    """Exact bottleneck distance and an optimal matching.
+    """Exact bottleneck distance and the lex-min optimal matching.
 
-    One solve at the value gives a perfect matching of the n + m slots, from which the lex-min
-    pass, whose result depends only on the graph, finds the lex-min optimal one.
+    The lex-min pass on the point block at the value starts from one solve in which each edge
+    is worth the heavy points it covers; by Mendelsohn-Dulmage, the best covers them all.
     """
-    block = _point_block(z, w)
-    value = _bottleneck_value(*block)
-    ok = _square(*block) <= value
-    return value, Matching(lex_min_perfect_matching(ok, perfect_matching(ok)))
+    sup, pa, pb = _point_block(z, w)
+    value = _bottleneck_value(sup, pa, pb)
+    n, m = sup.shape
+    ok = np.ones((n + 1, m + 1), dtype=bool)
+    ok[:n, :m], ok[:n, m], ok[n, :m] = sup <= value, pa <= value, pb <= value
+    gain = ok[:n, :m] * ((pa > value).astype(int)[:, None] + (pb > value))
+    col = np.full(n, m)
+    if gain.any():
+        # Imported here so that commands which never match do not load scipy.
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(-gain)
+        col[rows] = np.where(ok[rows, cols], cols, m)
+    return value, Matching(lex_min_perfect_matching(ok, col))
 
 
 def bottleneck_distance(z: Diagram, w: Diagram) -> float:
@@ -161,7 +167,11 @@ def _wasserstein_solve(z: Diagram, w: Diagram, p: float,
     value = top * optimum ** (1.0 / p)
     if not pairing:
         return value, None
-    phi = lex_min_perfect_matching(_tight_edges(powered, cols, optimum, len(z)), cols)
+    n, m = len(z), len(w)
+    ok = np.ones((n + 1, m + 1), dtype=bool)
+    tight = _tight_edges(powered, cols, optimum, n)[:n + 1, :m + 1]  # its DELTA slots are alike
+    ok[:len(tight), :tight.shape[1]] = tight
+    phi = lex_min_perfect_matching(ok, np.minimum(cols[:n], m))
     return value, tuple(np.argsort(phi).tolist()) if swapped else phi
 
 

@@ -7,22 +7,28 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coarsepd import (
     Diagram,
     InvalidPoint,
     bottleneck,
+    bottleneck_bruteforce,
+    describe_matching,
     distance_matrix,
     embed_finite_metric,
     profile_map,
     validate_metric,
     wasserstein,
+    wasserstein_bruteforce,
     zkm_space,
 )
 from coarsepd import cli
@@ -837,6 +843,45 @@ JSON_PAYLOADS = st.recursive(
 @given(JSON_PAYLOADS)
 def test_reply_encoder_equals_json_dumps(value):
     assert cli._json(value) == json.dumps(value, indent=2)
+
+
+# Up to 5 points a side on a small integer grid, empty sides included: ties, duplicates,
+# and points of z and of w on the diagonal.
+GRID_POINTS = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)).map(
+    lambda t: [t[0], t[0] + t[1]]), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(GRID_POINTS, GRID_POINTS, st.sampled_from([None, "1", "2", "3.5"]), st.booleans())
+# an empty matching; a matching with (0, Delta) and (Delta, 1), by the solver and the oracle
+@example([], [], None, False)
+@example([[0, 4], [1, 3]], [[3, 6], [0, 1]], None, False)
+@example([[0, 4], [1, 3]], [[3, 6], [0, 1]], "2", True)
+def test_dist_reply_equals_json_dumps(left, right, p, oracle):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [str(Path(tmp) / "a.json"), str(Path(tmp) / "b.json")]
+        for path, points in zip(files, (left, right)):
+            write_diagram(Path(path), points)
+        argv = ["dist", *files] + (["--wasserstein", p] if p else ["--bottleneck"])
+        out = StringIO()
+        with redirect_stdout(out):
+            assert main(argv + ["--oracle"] * oracle) == 0
+    z, w = Diagram(left), Diagram(right)
+    if p is None:
+        value, matching = (bottleneck_bruteforce if oracle else bottleneck)(z, w)
+        metric = {"metric": "bottleneck"}
+    else:
+        value, matching = (wasserstein_bruteforce if oracle else wasserstein)(z, w, float(p))
+        metric = {"metric": "wasserstein", "p": float(p)}
+    payload = {
+        "distance": f"{value:#.12g}",
+        "distance_value": value,
+        **metric,
+        "oracle": oracle,
+        "matching": [{"left": "Delta" if i is None else i, "right": "Delta" if j is None else j}
+                     for i, j in describe_matching(z, w, matching)],
+    }
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("name,body,message", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())

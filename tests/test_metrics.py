@@ -34,7 +34,7 @@ from coarsepd import (
     zkm_space,
 )
 from coarsepd import metrics
-from coarsepd.assignment import lex_min_perfect_matching, perfect_matching
+from coarsepd.assignment import perfect_matching
 from coarsepd.metrics import _cost, _tight_edges, rounding_slack
 from coarsepd.oracle import cost_matrix, min_assignment_max, min_assignment_sum
 from conftest import (
@@ -48,6 +48,7 @@ from conftest import (
     within_ulps_of_root,
 )
 from cover_reference import as_columns
+from matching_reference import square_lex_min_perfect_matching
 
 
 def d(*pts):
@@ -212,7 +213,7 @@ class TestOracleEquivalence:
             cost = rng.integers(0, 10, size=(width, width)).astype(float)
             rows, cols = linear_sum_assignment(cost)
             optimum = float(cost[rows, cols].sum())
-            phi = lex_min_perfect_matching(_tight_edges(cost, cols, optimum, width), cols)
+            phi = square_lex_min_perfect_matching(_tight_edges(cost, cols, optimum, width), cols)
             assert (optimum, phi) == min_assignment_sum(cost)
 
 
@@ -320,10 +321,17 @@ class TestMatchingOutput:
         with pytest.raises(ValueError, match=message):
             describe_matching(z, w, Matching(pairing))
 
-    @pytest.mark.parametrize("pairing", [(0, 0), (1,), (0, 2)])
+    @pytest.mark.parametrize("pairing", [(0, 0), (1,), (0, 2), (True, False), (1.0, 0.0),
+                                         (np.True_, np.False_)])
     def test_non_permutation_rejected(self, pairing):
         with pytest.raises(ValueError, match="^pairing is not a permutation$"):
             Matching(pairing)
+
+    @pytest.mark.parametrize("pairing", [[1, 0], np.array([1, 0]), (np.int64(1), np.int32(0))])
+    def test_pairing_is_a_tuple_of_ints(self, pairing):
+        matching = Matching(pairing)
+        assert matching.pairing == (1, 0) and all(type(j) is int for j in matching.pairing)
+        assert hash(matching) == hash(Matching((1, 0)))
 
     def test_pairing_is_permutation(self, rng):
         z = random_diagram(rng, max_size=4)
@@ -431,29 +439,30 @@ AT_LARGEST_COST = (d((1, 4)), d((2, 5), (2, 5)))
 
 
 class TestOneSolvePerMatchedDistance:
-    """The matching adds one solve on the n + m slots, at the value.
+    """The matching adds at most one solve, on the n x m point block at the value.
 
-    The d_B search itself solves only heavy-row rectangles of the point block.
+    The d_B search itself solves only heavy-row rectangles of the point block,
+    and the matching solves only when some point is heavy at the value.
     """
 
     def test_bottleneck_at_lower_bound(self, solves):
-        # no point is heavy at the bound 2.0, so the search needs no solve
+        # no point is heavy at the bound 2.0, so neither the search nor the matching solves
         z, w = d((0, 4), (1, 3)), d((3, 6), (2, 5))
         cost = _cost(z, w)
         value = bottleneck_distance(z, w)
         assert value == max(cost.min(axis=1).max(), cost.min(axis=0).max())
         assert solves == []
         assert bottleneck(z, w)[0] == value
-        assert solves == [(4, 4)]
+        assert solves == []
 
     @pytest.mark.parametrize("pair", [BOUND_BELOW_OPTIMUM, WIDE, AT_LARGEST_COST])
     def test_bottleneck_matching_adds_no_solve(self, solves, pair):
-        # beyond the one at the value
+        # beyond the one on the point block; of these pairs, only WIDE has
+        # heavy points at its value (the 7 of w)
         bottleneck_distance(*pair)
         tests = list(solves)
         bottleneck(*pair)
-        width = len(pair[0]) + len(pair[1])
-        assert solves == tests + tests + [(width, width)]
+        assert solves == tests + tests + ([(7, 7)] if pair is WIDE else [])
 
     def test_value_at_largest_cost(self, solves):
         # the bound 1.0 is infeasible (two heavy points of w, one of z) and
@@ -649,7 +658,7 @@ def wide_bottleneck(z, w):
         return maximum_bipartite_matching(csr_matrix(cost <= t), perm_type="column")
 
     value = candidates[bisect.bisect_left(candidates, True, key=lambda t: (matched(t) >= 0).all())]
-    return float(value), Matching(lex_min_perfect_matching(cost <= value, matched(value)))
+    return float(value), Matching(square_lex_min_perfect_matching(cost <= value, matched(value)))
 
 
 class TestNarrowBottleneck:
@@ -676,8 +685,9 @@ class TestNarrowBottleneck:
     @pytest.mark.parametrize("z,w", [(d((0, 2)), d((1, 3), (2, 6), (4, 5))),
                                      (Diagram(), d((1, 3), (2, 6))), AT_LARGEST_COST])
     def test_solves_at_width_n_plus_m(self, solves, z, w):
-        # W_p and the matching solve at width n + m; the d_B search solves
-        # heavy rows of one side against all points of the other
+        # W_p solves at width n + m; the d_B search solves heavy rows of one
+        # side against all points of the other, and no point is heavy at any
+        # of these values, so the matching adds no solve
         width = (len(z) + len(w),) * 2
         for left, right in ((z, w), (w, z)):
             del solves[:]
@@ -686,7 +696,7 @@ class TestNarrowBottleneck:
             assert all(r <= c and ((r <= len(left) and c == len(right))
                                    or (r <= len(right) and c == len(left))) for r, c in search)
             bottleneck(left, right)
-            assert solves == search + search + [width]
+            assert solves == search + search
         del solves[:]
         wasserstein(z, w, 2)
         wasserstein_distance(w, z, 1)
@@ -729,6 +739,52 @@ class TestTightEdges:
         optimum = float(powered[rows, cols].sum())
         tight = _tight_edges(powered, cols, optimum, len(z))
         assert np.array_equal(tight, all_rows_tight_edges(powered, cols, optimum))
+        # the block pass reads only the first DELTA column and row
+        n, m = len(z), len(w)
+        assert (tight[:, m:] == tight[:, m:m + 1]).all()
+        assert (tight[n:] == tight[n:n + 1]).all()
+
+
+def square_bottleneck(z, w):
+    """d_B and its lex-min matching, recovered on all n + m slots by the reference pass."""
+    value = bottleneck_distance(z, w)
+    ok = _cost(z, w) <= value
+    return value, Matching(square_lex_min_perfect_matching(ok, linear_sum_assignment(~ok)[1]))
+
+
+def square_wasserstein(z, w, p):
+    """W_p's lex-min tight-edge matching, recovered on all n + m slots by the reference pass.
+
+    As in ``wasserstein``, the pair is solved in canonical order and the pairing inverted back.
+    """
+    swapped = w.points < z.points
+    left, right = (w, z) if swapped else (z, w)
+    cost = _cost(left, right)
+    powered = (cost / cost.max(initial=0.0)) ** p
+    rows, cols = linear_sum_assignment(powered)
+    optimum = float(powered[rows, cols].sum())
+    phi = square_lex_min_perfect_matching(_tight_edges(powered, cols, optimum, len(left)), cols)
+    return Matching(tuple(np.argsort(phi).tolist()) if swapped else phi)
+
+
+class TestBlockRecovery:
+    """The lex-min pass on the point block returns the (n + m)-slot reference's matching."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(integer_diagrams(6), diagrams(6)), st.one_of(integer_diagrams(6), diagrams(6)))
+    @example(Diagram(), Diagram())
+    @example(Diagram(), d((0, 2), (1, 4), (1, 4)))
+    @example(d((0, 2), (0, 2), (1, 4)), d((0, 2), (1, 3), (1, 3)))
+    @example(*BOUND_BELOW_OPTIMUM)
+    @example(*AT_LARGEST_COST)
+    @example(*WIDE)
+    @example(random_diagram(np.random.default_rng(256), size=256),
+             random_diagram(np.random.default_rng(257), size=300))
+    def test_equals_square_reference(self, z, w):
+        for left, right in ((z, w), (w, z)):
+            assert bottleneck(left, right) == square_bottleneck(left, right)
+            for p in (1, 2, 3.5):
+                assert wasserstein(left, right, p)[1] == square_wasserstein(left, right, p)
 
 
 def test_512_point_pair():
