@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +38,7 @@ from .errors import (
 from .metrics import (
     bottleneck,
     bottleneck_1pt_array,
+    describe_matching,
     distance_matrix,
     wasserstein,
 )
@@ -54,30 +54,9 @@ EXIT_TOO_LARGE = 5
 EXIT_DEVIATION = 6
 
 
-def _json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for str keys, byte for byte; ``indent`` closes value.
-
-    json encodes in pure Python whenever indent is set, so only the rare leaves go to it:
-    NaN, +-inf, bools, None and empty containers; it rejects the rest.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict) and value:
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, (list, tuple)) and value:
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
-    return json.dumps(value)
-
-
 def _emit(payload: dict) -> None:
-    """Write ``json.dumps(payload, indent=2)`` and a newline in one write, by ``_json``."""
-    sys.stdout.write(_json(payload) + "\n")
+    """Write ``json.dumps(payload, indent=2)`` and a newline in one write."""
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _save_diagrams(diagrams, out_dir: Path, stem: str) -> list[str]:
@@ -90,29 +69,29 @@ def _save_diagrams(diagrams, out_dir: Path, stem: str) -> list[str]:
 
 
 def _cmd_dist(args) -> int:
-    """Write ``json.dumps(payload, indent=2)``: ``_json`` writes all but the matching."""
+    """Write ``json.dumps(payload, indent=2)`` and a newline from one format string.
+
+    The format holds while every field is a finite float, an int, a bool or a
+    string that needs no escape: json writes such numbers by their ``repr``.
+    """
     z = io.load_diagram(args.left)
     w = io.load_diagram(args.right)
     if args.wasserstein is not None:
         solver = wasserstein_bruteforce if args.oracle else wasserstein
         value, matching = solver(z, w, args.wasserstein)
-        metric = {"metric": "wasserstein", "p": args.wasserstein}
+        metric = f'"wasserstein",\n  "p": {args.wasserstein!r}'
     else:
         solver = bottleneck_bruteforce if args.oracle else bottleneck
         value, matching = solver(z, w)
-        metric = {"metric": "bottleneck"}
-    n, m, pairing = len(z), len(w), matching.pairing
-    pair = '{\n      "left": %s,\n      "right": %s\n    }'  # as json.dumps lays one out
-    pairs = [pair % (i, j if j < m else '"Delta"') for i, j in enumerate(pairing[:n])]
-    pairs += [pair % ('"Delta"', j) for j in pairing[n:] if j < m]
-    head = _json({
-        "distance": f"{value:#.12g}",  # 12 significant digits, trailing zeros kept
-        "distance_value": value,
-        **metric,
-        "oracle": bool(args.oracle),
-    })
-    body = "[\n    " + ",\n    ".join(pairs) + "\n  ]" if pairs else "[]"
-    sys.stdout.write(head[:-2] + ',\n  "matching": ' + body + "\n}\n")  # before head's "\n}"
+        metric = '"bottleneck"'
+    pairs = ['{\n      "left": %s,\n      "right": %s\n    }'
+             % ('"Delta"' if i is None else i, '"Delta"' if j is None else j)
+             for i, j in describe_matching(z, w, matching)]
+    sys.stdout.write(
+        '{\n  "distance": "%#.12g",\n  "distance_value": %s,\n  "metric": %s,\n'
+        '  "oracle": %s,\n  "matching": %s\n}\n'
+        % (value, float.__repr__(value), metric, "true" if args.oracle else "false",
+           "[\n    " + ",\n    ".join(pairs) + "\n  ]" if pairs else "[]"))
     return EXIT_OK
 
 

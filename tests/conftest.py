@@ -163,6 +163,7 @@ def solves(monkeypatch):
         calls.append(cost.shape)
         return solve(cost)
 
-    # Both solver imports are local to the call, so they see the patch.
+    # The three solver imports (assignment.perfect_matching, metrics.bottleneck and
+    # metrics._wasserstein_solve) are local to the call, so they see the patch.
     monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
     return calls

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 import os
 import platform
 import subprocess
@@ -816,33 +815,20 @@ def test_reply_is_one_write(tmp_path, monkeypatch):
 
     write_diagram(tmp_path / "a.json", [[0, 4], [1, 3]])
     write_diagram(tmp_path / "b.json", [[3, 6]])
+    write_metric(tmp_path / "m.csv", ["a", "b"], [[0, 1], [1, 0]])
+    metric = str(tmp_path / "m.csv")
     monkeypatch.setattr(sys, "stdout", Stdout())
-    assert main(["dist", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
-    assert len(writes) == 1 and writes[0].endswith("}\n")
-    assert json.loads(writes[0])["distance_value"] == 2.0
-
-
-# Strings with quotes, backslashes, control and non-ASCII characters; ints past 2**64;
-# floats with -0.0, subnormals, NaN and +-inf; bools, None and numpy float leaves.
-JSON_LEAVES = st.one_of(
-    st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80 a\u00e9\u2028\ud800\U0001d11e')),
-    st.text(),
-    st.integers(),
-    st.integers(2**64 - 1, 2**80) | st.integers(-(2**80), -(2**64)),
-    st.floats() | st.sampled_from([-0.0, 5e-324, -2.2e-308, math.nan, math.inf, -math.inf]),
-    st.floats().map(np.float64),
-    st.booleans(),
-    st.none(),
-)
-JSON_PAYLOADS = st.recursive(
-    JSON_LEAVES, lambda values: st.lists(values) | st.dictionaries(st.text(), values),
-    max_leaves=40)
-
-
-@settings(max_examples=200, deadline=None)
-@given(JSON_PAYLOADS)
-def test_reply_encoder_equals_json_dumps(value):
-    assert cli._json(value) == json.dumps(value, indent=2)
+    for argv, field, value in [
+        (["dist", str(tmp_path / "a.json"), str(tmp_path / "b.json")], "distance_value", 2.0),
+        (["cover", "--space", "d1", "--scale", "1", "--trials", "50"], "ok", True),
+        (["gen", "--zkm", "2", "2", "--out", str(tmp_path / "gen")], "points", 4),
+        (["profile", metric, metric, "--bins", "2"], "pairs", 1),
+        (["embed", metric, "--out", str(tmp_path / "embed")], "isometric", True),
+    ]:
+        writes.clear()
+        assert main(argv) == 0, argv
+        assert len(writes) == 1 and writes[0].endswith("}\n"), argv
+        assert json.loads(writes[0])[field] == value, argv
 
 
 # Up to 5 points a side on a small integer grid, empty sides included: ties, duplicates,
@@ -852,11 +838,19 @@ GRID_POINTS = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)).map(
 
 
 @settings(max_examples=150, deadline=None)
-@given(GRID_POINTS, GRID_POINTS, st.sampled_from([None, "1", "2", "3.5"]), st.booleans())
+@given(GRID_POINTS, GRID_POINTS,
+       st.sampled_from([None, "1", "2", "3.5", "1e3", "1.0000000000000002"]), st.booleans())
 # an empty matching; a matching with (0, Delta) and (Delta, 1), by the solver and the oracle
 @example([], [], None, False)
 @example([[0, 4], [1, 3]], [[3, 6], [0, 1]], None, False)
 @example([[0, 4], [1, 3]], [[3, 6], [0, 1]], "2", True)
+# distances that print with an exponent (5e-06, 1.5e+16), and identical sides at 0.0
+@example([[0, 1e-05]], [], None, False)
+@example([[0, 1e-05]], [], None, True)
+@example([[0, 3e16]], [[1, 2]], None, False)
+@example([[0, 3e16]], [[1, 2]], None, True)
+@example([[0, 4], [1, 3]], [[0, 4], [1, 3]], None, False)
+@example([[0, 4], [1, 3]], [[0, 4], [1, 3]], None, True)
 def test_dist_reply_equals_json_dumps(left, right, p, oracle):
     with tempfile.TemporaryDirectory() as tmp:
         files = [str(Path(tmp) / "a.json"), str(Path(tmp) / "b.json")]
